@@ -17,11 +17,11 @@ import numpy as np
 from . import adversary as adv
 from .dynamics import (DynamicsConfig, run_dynamics, write_certificate_txt,
                        write_equilibrium_json, write_regret_csv)
-from .errors import (AuditError, BadInput, CommeqError, EnumerationTooLarge,
-                     NoConvergence, NotAnEquilibrium, NotShiftable,
-                     NumericallyAmbiguous, SupportTooLarge)
-from .game import (BayesianGame, MixtureDistribution, StrategyDistribution,
-                   load_game, mixture_to_tabular, validate_game)
+from .errors import (BadInput, CommeqError, EnumerationTooLarge, NotAnEquilibrium,
+                     SupportTooLarge)
+from .game import (SUM_TOL_DERIVED, BayesianGame, MixtureDistribution,
+                   StrategyDistribution, check_policy, game_from_json_dict, load_game,
+                   mixture_to_tabular, validate_game)
 from .poa import QuasilinearGame, SmoothnessSpec, check_smoothness, poa_report
 from .verifier import (anf_bs_epsilon, bne_epsilon, coarse_epsilon,
                        comm_eq_epsilon, sfce_epsilon, strategy_representable)
@@ -45,29 +45,44 @@ def _load_json(path: str) -> dict:
 
 
 def load_distribution(path: str, game: BayesianGame):
-    """Load a play distribution: tabular, mixture, strategy, or a simulate output."""
+    """Load a play distribution: tabular, mixture, strategy, or a simulate output.
+
+    Tabular slices and mixture policy rows must be probability vectors within
+    SUM_TOL_DERIVED, the drift a long simulate run's own output carries.
+    """
     doc = _load_json(path)
-    if "mixture" in doc and "kind" not in doc:      # simulate's equilibrium.json
+    if isinstance(doc, dict) and "mixture" in doc and "kind" not in doc:  # equilibrium.json
         doc = doc["mixture"]
+    if not isinstance(doc, dict):
+        raise BadInput(f"{path}: a distribution file holds a JSON object")
     kind = doc.get("kind")
+    nt, na = game.num_types, game.num_actions
     try:
         if kind == "tabular":
-            arr = np.asarray(doc["values"], dtype=float)
-            return arr.reshape(game.num_types + game.num_actions)
+            arr = np.asarray(doc["values"], dtype=float).reshape(nt + na)
+            check_policy(arr.reshape(int(np.prod(nt)), -1), SUM_TOL_DERIVED,
+                         f"{path}: tabular distribution")
+            return arr
         if kind == "mixture":
             weights = np.asarray(doc["weights"], dtype=float)
             policies = [np.asarray(p, dtype=float) for p in doc["policies"]]
+            if weights.ndim != 1 or len(policies) != game.n:
+                raise BadInput(f"{path}: a mixture needs a weight vector and {game.n} policies")
+            for i, p in enumerate(policies):
+                want = (weights.size, nt[i], na[i])
+                if p.shape != want:
+                    raise BadInput(f"{path}: policy of player {i} has shape {p.shape}, want {want}")
+                check_policy(p.reshape(-1, na[i]), SUM_TOL_DERIVED,
+                             f"{path}: mixture policy of player {i}")
             return MixtureDistribution.from_stacked(weights, policies)
         if kind == "strategy":
-            return StrategyDistribution.create(game.num_types, game.num_actions,
-                                               np.asarray(doc["values"], dtype=float))
+            return StrategyDistribution.create(nt, na, np.asarray(doc["values"], dtype=float))
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"{path}: distribution does not fit the game: {exc}") from exc
     raise BadInput(f"{path}: unknown distribution kind {kind!r}")
 
 
-def _load_checked_game(path: str) -> BayesianGame:
-    game = load_game(path)
+def _checked_game(path: str, game: BayesianGame) -> BayesianGame:
     report = validate_game(game)
     if not report.ok:
         raise BadInput(f"{path}: " + "; ".join(report.violations))
@@ -79,7 +94,7 @@ def _print_json(obj: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    game = _load_checked_game(args.game)
+    game = _checked_game(args.game, load_game(args.game))
     config = DynamicsConfig(
         horizon=args.T,
         learners=args.learner,
@@ -99,7 +114,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    game = _load_checked_game(args.game)
+    game = _checked_game(args.game, load_game(args.game))
     dist = load_distribution(args.distribution, game)
     if args.klass == "representable":
         pi = mixture_to_tabular(dist) if isinstance(dist, MixtureDistribution) \
@@ -154,7 +169,7 @@ def cmd_adversary(args) -> int:
 
 def cmd_poa(args) -> int:
     doc = _load_json(args.game)
-    game = _load_checked_game(args.game)
+    game = _checked_game(args.game, game_from_json_dict(doc))
     spec_doc = _load_json(args.spec)
     try:
         spec = SmoothnessSpec.create(spec_doc["lambda"], spec_doc["mu"],
@@ -163,10 +178,12 @@ def cmd_poa(args) -> int:
         raise BadInput(f"{args.spec}: missing field {exc}") from exc
     target = game
     if spec.mode == "mechanism":
-        ql = doc.get("quasilinear")
-        if ql is None:
-            raise BadInput("mechanism mode needs a 'quasilinear' block in the game file")
-        target = QuasilinearGame.create(game, ql["alloc_values"], ql["payments"])
+        try:
+            ql = doc["quasilinear"]
+            target = QuasilinearGame.create(game, ql["alloc_values"], ql["payments"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadInput(f"mechanism mode needs a 'quasilinear' block with alloc_values"
+                           f" and payments that fit the game: {exc}") from exc
     dist = load_distribution(args.distribution, game)
     smooth = check_smoothness(target, spec)
     report = poa_report(target, dist, spec, eps_tol=args.eps_tol)
@@ -240,11 +257,9 @@ def main(argv=None) -> int:
     except NotAnEquilibrium as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_VERIFIED
-    except (AuditError, NoConvergence, NotShiftable, NumericallyAmbiguous) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except CommeqError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # invariant failures (AuditError, ...) and any bug
+        detail = str(exc) if isinstance(exc, CommeqError) else f"{type(exc).__name__}: {exc}"
+        print("internal error: " + " ".join(detail.split()), file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadDims, BadInput, EnumerationTooLarge
-from .game import BayesianGame, MixtureDistribution
+from .game import BayesianGame, MixtureDistribution, policy_product
 from .learners import StrategySwapLearner, TypewiseSwapLearner, UntruthfulSwapLearner
 from .regret import (RegretLedger, accumulate, external_regret, typewise_regret,
                      untruthful_bound, untruthful_regret)
@@ -76,22 +76,11 @@ def exact_reward(game: BayesianGame, i: int, policies,
             other_cells *= nt[j] * na[j]
     if other_cells > cap:
         raise EnumerationTooLarge(f"{other_cells} opponent cells exceed cap {cap}")
-    opp = _opponent_table(game, i, policies)
+    opp = policy_product(np.ones((1, 1, 1)), [np.asarray(policies[j], dtype=float)[None]
+                                              for j in range(game.n) if j != i])[0]
     cond = game.prior.conditional_matrix(i)
     v = game.payoff_from_own_view(i)    # (K_i, M_i, T_-i, A_-i)
     return np.einsum("io,op,iaop->ia", cond, opp, v, optimize=True)
-
-
-def _opponent_table(game: BayesianGame, i: int, policies) -> np.ndarray:
-    """prod_{j != i} pi_j(theta_j; a_j) as a (|Theta_-i|, |A_-i|) table."""
-    opp = np.ones((1, 1))
-    for j in range(game.n):
-        if j == i:
-            continue
-        p = np.asarray(policies[j], dtype=float)
-        opp = (opp[:, None, :, None] * p[None, :, None, :]).reshape(
-            opp.shape[0] * p.shape[0], opp.shape[1] * p.shape[1])
-    return opp
 
 
 def sample_count(epsilon: float, delta: float, n: int, horizon: int,
@@ -149,6 +138,10 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
         raise BadDims("horizon must be >= 1")
     if config.thin_stride > 1 and t_max % config.thin_stride != 0:
         raise BadDims("thin_stride must divide the horizon")
+    if config.threads < 1:
+        raise BadInput("threads must be >= 1")
+    if config.reward_mode == "sampled" and not (config.epsilon > 0 and 0 < config.delta < 1):
+        raise BadInput("sampled rewards need eps > 0 and 0 < delta < 1")
     kinds = config.learner_kinds(game.n)
     learners = [_make_learner(kinds[i], game, i, config) for i in range(game.n)]
     ledgers = [RegretLedger.create(game.prior.marginals[i], game.num_actions[i])

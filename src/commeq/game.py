@@ -24,6 +24,8 @@ DEFAULT_STRATEGY_CAP = 10**6
 
 
 def _check_prob_vector(v: np.ndarray, what: str, tol: float = SUM_TOL_INGEST) -> None:
+    if not np.isfinite(v).all():
+        raise BadInput(f"{what} has a non-finite entry")
     if np.any(v < 0):
         raise BadInput(f"{what} has a negative entry")
     if abs(float(v.sum()) - 1.0) > tol:
@@ -192,8 +194,11 @@ def uniform_policy(num_types: int, num_actions: int) -> np.ndarray:
 
 
 def policy_violation(x: np.ndarray, tol: float = SUM_TOL_INGEST) -> float:
-    """Largest violation of the type-wise policy invariants (0 when valid)."""
+    """Largest violation of the type-wise policy invariants (0 when valid, inf
+    when an entry is not finite)."""
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        return np.inf
     neg = max(0.0, float(-x.min(initial=0.0)))
     rows = float(np.abs(x.sum(axis=1) - 1.0).max(initial=0.0))
     return max(neg, rows)
@@ -261,6 +266,19 @@ def mixture_eval(mix: MixtureDistribution, theta: tuple[int, ...], action: tuple
     return float(acc.sum())
 
 
+def policy_product(lead: np.ndarray, policies) -> np.ndarray:
+    """Kronecker product of stacked (C, K_j, M_j) policies onto a (C, R, Q) lead.
+
+    out[c, (r, theta_1, ...), (q, a_1, ...)] = lead[c, r, q] * prod_j p_j[c, theta_j, a_j],
+    multiplied in the order the policies are given.
+    """
+    acc = lead
+    for p in policies:
+        acc = acc[:, :, None, :, None] * p[:, None, :, None, :]
+        acc = acc.reshape(acc.shape[0], acc.shape[1] * acc.shape[2], -1)
+    return acc
+
+
 def mixture_to_tabular(mix: MixtureDistribution, cap: int = 10**6) -> np.ndarray:
     """Flatten a mixture to an explicit array over (Theta..., A...)."""
     nt = tuple(p.shape[1] for p in mix.policies)
@@ -268,12 +286,7 @@ def mixture_to_tabular(mix: MixtureDistribution, cap: int = 10**6) -> np.ndarray
     cells = int(np.prod(nt)) * int(np.prod(na))
     if cells > cap:
         raise SupportTooLarge(f"tabularization needs {cells} cells > cap {cap}")
-    acc = mix.weights.reshape(-1, 1, 1)
-    for i in range(mix.n):
-        p = mix.policies[i]
-        acc = acc[:, :, None, :, None] * p[:, None, :, None, :]
-        acc = acc.reshape(acc.shape[0], acc.shape[1] * acc.shape[2], -1)
-    return acc.sum(axis=0).reshape(nt + na)
+    return policy_product(mix.weights.reshape(-1, 1, 1), mix.policies).sum(axis=0).reshape(nt + na)
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +309,16 @@ def encode_strategy_profile(s: list[np.ndarray], num_actions) -> int:
     return idx
 
 
-def decode_strategy_profile(idx: int, num_types, num_actions) -> list[np.ndarray]:
+def decode_strategy_profile(idx, num_types, num_actions) -> list[np.ndarray]:
+    """Inverse of encode_strategy_profile: per player, the action of each type.
+    An array of N indices decodes to per-player (N, |Theta_i|) action tables."""
+    idx = np.asarray(idx, dtype=np.int64)
     digits = []
     for i in reversed(range(len(num_types))):
-        row = np.empty(num_types[i], dtype=np.int64)
+        row = np.empty(idx.shape + (num_types[i],), dtype=np.int64)
         for k in reversed(range(num_types[i])):
-            row[k] = idx % num_actions[i]
-            idx //= num_actions[i]
+            row[..., k] = idx % num_actions[i]
+            idx = idx // num_actions[i]
         digits.append(row)
     return list(reversed(digits))
 
@@ -336,17 +352,9 @@ class StrategyDistribution:
 def strategy_to_mixture(sigma: StrategyDistribution) -> MixtureDistribution:
     """One deterministic product component per support profile, weight sigma(s)."""
     support = np.flatnonzero(sigma.probs)
-    weights = sigma.probs[support]
-    profiles = []
-    for idx in support:
-        s = decode_strategy_profile(int(idx), sigma.num_types, sigma.num_actions)
-        prof = []
-        for i, si in enumerate(s):
-            pol = np.zeros((sigma.num_types[i], sigma.num_actions[i]))
-            pol[np.arange(sigma.num_types[i]), si] = 1.0
-            prof.append(pol)
-        profiles.append(prof)
-    return MixtureDistribution.create(weights, profiles)
+    rows = decode_strategy_profile(support, sigma.num_types, sigma.num_actions)
+    policies = [np.eye(m)[r] for r, m in zip(rows, sigma.num_actions)]
+    return MixtureDistribution.from_stacked(sigma.probs[support], policies)
 
 
 def strategy_table(num_types: int, num_actions: int) -> np.ndarray:
@@ -379,7 +387,7 @@ def validate_game(game: BayesianGame) -> ValidationReport:
         if p.shape != nt + na:
             bad.append(f"payoff tensor of player {i} has shape {p.shape}, want {nt + na}")
             continue
-        if p.min() < -SUM_TOL_INGEST or p.max() > 1 + SUM_TOL_INGEST:
+        if not (p.min() >= -SUM_TOL_INGEST and p.max() <= 1 + SUM_TOL_INGEST):  # NaN fails too
             where = np.unravel_index(int(np.argmax(np.maximum(p - 1, -p))), p.shape)
             theta = tuple(int(j) for j in where[:game.n])
             act = tuple(int(j) for j in where[game.n:])

@@ -64,14 +64,7 @@ class QuasilinearGame:
 
     def welfare(self) -> np.ndarray:
         """Allocation welfare sum_i v_i^+(theta_i; f_i(a)) over (Theta..., A...)."""
-        n = self.base.n
-        nt = self.base.num_types
-        out = np.zeros(nt + self.base.num_actions)
-        for i in range(n):
-            shape = [1] * n
-            shape[i] = nt[i]
-            out += self.alloc_values[i].reshape(tuple(shape) + self.base.num_actions)
-        return out
+        return _welfare(self, "mechanism")
 
 
 def validate_quasilinear(qg: QuasilinearGame) -> list[str]:
@@ -97,6 +90,24 @@ def _own_type_payoff(game: BayesianGame, i: int) -> np.ndarray:
     return game.payoffs[i][tuple(idx)]
 
 
+def _base(game) -> BayesianGame:
+    return game.base if isinstance(game, QuasilinearGame) else game
+
+
+def _welfare(game, mode: str) -> np.ndarray:
+    """sum_i x_i(theta_i; a) over (Theta..., A...), where x_i is the allocation
+    value v_i^+ in mechanism mode and the payoff v_i in game mode."""
+    base = _base(game)
+    n, nt, na = base.n, base.num_types, base.num_actions
+    out = np.zeros(nt + na)
+    for i in range(n):
+        part = game.alloc_values[i] if mode == "mechanism" else _own_type_payoff(base, i)
+        shape = [1] * n
+        shape[i] = nt[i]
+        out += part.reshape(tuple(shape) + na)
+    return out
+
+
 def _require_assumptions(game: BayesianGame) -> None:
     if game.prior.kind != "product":
         raise AssumptionViolated("POA analysis needs a product prior")
@@ -116,87 +127,59 @@ class SmoothnessReport:
                 [list(self.witness[0]), list(self.witness[1])]}
 
 
-def check_smoothness(game, spec: SmoothnessSpec) -> SmoothnessReport:
-    """Full enumeration of the conditional-smoothness inequality over (theta, a)."""
-    base = game.base if isinstance(game, QuasilinearGame) else game
+def _smoothness_terms(game, deviation, mode: str):
+    """The smoothness inequality's terms, checked, as (lhs, against, opt) over
+    (Theta..., A...): lhs[theta, a] = sum_i v_i(theta_i; a*_i(theta, a_i), a_-i),
+    against is the welfare (game mode) or total payment (mechanism mode) that mu
+    multiplies, and opt[theta, .] = max_a' welfare[theta, a'].  Cell (theta, a)
+    is smooth when lhs - lambda * opt + mu * against >= 0.
+    """
+    base = _base(game)
     _require_assumptions(base)
-    if spec.mode == "mechanism" and not isinstance(game, QuasilinearGame):
+    if mode not in ("game", "mechanism"):
+        raise BadInput(f"unknown smoothness mode {mode!r}")
+    if mode == "mechanism" and not isinstance(game, QuasilinearGame):
         raise BadInput("mechanism-mode smoothness needs a QuasilinearGame")
     n, nt, na = base.n, base.num_types, base.num_actions
-    own = [_own_type_payoff(base, i) for i in range(n)]
+    dev = [np.asarray(d) for d in deviation]
+    if len(dev) != n:
+        raise BadInput(f"need a deviation map per player, got {len(dev)}")
+    for i, d in enumerate(dev):
+        if d.shape != nt + (na[i],) or not np.isin(d, np.arange(na[i])).all():
+            raise BadInput(f"deviation map of player {i} must have shape {nt + (na[i],)}"
+                           f" and entries in [0, {na[i]})")
+    grid = np.ix_(*(np.arange(k) for k in nt + na))
+    lhs = np.zeros(nt + na)
     for i in range(n):
-        if spec.deviation[i].shape != nt + (na[i],):
-            raise BadInput(f"deviation map of player {i} must have shape {nt + (na[i],)}")
-    if spec.mode == "mechanism":
-        welfare = game.welfare()
-        charge = np.zeros(na)
-        for p in game.payments:
-            charge += p
-    else:
-        welfare = np.zeros(nt + na)
-        for i in range(n):
-            shape = [1] * n
-            shape[i] = nt[i]
-            welfare += own[i].reshape(tuple(shape) + na)
-    flat_w = welfare.reshape(nt + (-1,))
-    opt = flat_w.max(axis=-1)
-    min_slack, witness = np.inf, None
-    for theta in np.ndindex(*nt):
-        for act in np.ndindex(*na):
-            lhs = 0.0
-            for i in range(n):
-                dev = list(act)
-                dev[i] = int(spec.deviation[i][theta + (act[i],)])
-                lhs += float(own[i][(theta[i],) + tuple(dev)])
-            against = float(charge[act]) if spec.mode == "mechanism" \
-                else float(welfare[theta + act])
-            slack = lhs - spec.lam * float(opt[theta]) + spec.mu * against
-            if slack < min_slack:
-                min_slack, witness = slack, (theta, act)
+        act = list(grid[n:])
+        act[i] = dev[i].astype(np.int64)[grid[:n] + (grid[n + i],)]
+        lhs = lhs + _own_type_payoff(base, i)[(grid[i],) + tuple(act)]
+    welfare = _welfare(game, mode)
+    against = np.broadcast_to(sum(game.payments), nt + na) if mode == "mechanism" else welfare
+    opt = welfare.reshape(nt + (-1,)).max(axis=-1)
+    return lhs, against, np.broadcast_to(opt.reshape(nt + (1,) * n), nt + na)
+
+
+def check_smoothness(game, spec: SmoothnessSpec) -> SmoothnessReport:
+    """Full enumeration of the conditional-smoothness inequality over (theta, a)."""
+    lhs, against, opt = _smoothness_terms(game, spec.deviation, spec.mode)
+    slack = lhs - spec.lam * opt + spec.mu * against
+    cell = np.unravel_index(int(np.argmin(slack)), slack.shape)   # first in C order
+    min_slack = float(slack[cell])
     passed = min_slack >= -SMOOTHNESS_TOL
-    return SmoothnessReport(passed, float(min_slack), None if passed else witness)
+    n = slack.ndim // 2
+    witness = (tuple(int(x) for x in cell[:n]), tuple(int(x) for x in cell[n:]))
+    return SmoothnessReport(passed, min_slack, None if passed else witness)
 
 
 def smoothness_frontier(game, deviation, mode: str, mu_grid) -> list[dict]:
     """Largest feasible lambda per mu over the same enumeration as
     check_smoothness; reporting convenience only."""
-    base = game.base if isinstance(game, QuasilinearGame) else game
-    _require_assumptions(base)
-    dev = tuple(np.asarray(d, dtype=np.int64) for d in deviation)
-    return [{"mu": float(mu), "max_lambda": _max_feasible_lambda(game, dev, mode, float(mu))}
+    lhs, against, opt = _smoothness_terms(game, deviation, mode)
+    live = opt > 0
+    return [{"mu": float(mu), "max_lambda": float(
+                ((lhs[live] + float(mu) * against[live]) / opt[live]).min(initial=np.inf))}
             for mu in mu_grid]
-
-
-def _max_feasible_lambda(game, deviation, mode: str, mu: float) -> float:
-    base = game.base if isinstance(game, QuasilinearGame) else game
-    n, nt, na = base.n, base.num_types, base.num_actions
-    own = [_own_type_payoff(base, i) for i in range(n)]
-    if mode == "mechanism":
-        welfare = game.welfare()
-        charge = np.zeros(na)
-        for p in game.payments:
-            charge += p
-    else:
-        welfare = np.zeros(nt + na)
-        for i in range(n):
-            shape = [1] * n
-            shape[i] = nt[i]
-            welfare += own[i].reshape(tuple(shape) + na)
-    opt = welfare.reshape(nt + (-1,)).max(axis=-1)
-    best = np.inf
-    for theta in np.ndindex(*nt):
-        if opt[theta] <= 0:
-            continue
-        for act in np.ndindex(*na):
-            lhs = 0.0
-            for i in range(n):
-                dev = list(act)
-                dev[i] = int(deviation[i][theta + (act[i],)])
-                lhs += float(own[i][(theta[i],) + tuple(dev)])
-            against = float(charge[act]) if mode == "mechanism" \
-                else float(welfare[theta + act])
-            best = min(best, (lhs + mu * against) / float(opt[theta]))
-    return float(best)
 
 
 @dataclass(frozen=True)
@@ -230,25 +213,17 @@ def poa_report(game, dist, spec: SmoothnessSpec, eps_tol: float = 0.01) -> PoaRe
     epsilon exceeds ``eps_tol``, and refuses smoothness specs that fail
     enumeration.  A zero optimal welfare reports ratio 1 by convention.
     """
-    base = game.base if isinstance(game, QuasilinearGame) else game
-    _require_assumptions(base)
     smooth = check_smoothness(game, spec)
     if not smooth.passed:
         raise BadInput(f"smoothness spec fails at {smooth.witness} "
                        f"with slack {smooth.min_slack:.3e}")
+    base = _base(game)
     cert = comm_eq_epsilon(base, dist)
     if cert.epsilon > eps_tol:
         raise NotAnEquilibrium(f"measured epsilon {cert.epsilon:.4g} > tolerance {eps_tol:.4g}")
 
-    n, nt, na = base.n, base.num_types, base.num_actions
-    if spec.mode == "mechanism":
-        welfare = game.welfare()
-    else:
-        welfare = np.zeros(nt + na)
-        for i in range(n):
-            shape = [1] * n
-            shape[i] = nt[i]
-            welfare += _own_type_payoff(base, i).reshape(tuple(shape) + na)
+    n, na = base.n, base.num_actions
+    welfare = _welfare(game, spec.mode)
     pi = mixture_to_tabular(dist) if isinstance(dist, MixtureDistribution) \
         else np.asarray(dist, dtype=float)
     prior = base.prior.full_table()

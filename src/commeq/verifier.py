@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import AuditError, BadInput, EnumerationTooLarge, SupportTooLarge
 from .game import (BayesianGame, MixtureDistribution, StrategyDistribution,
-                   decode_strategy_profile, mixture_to_tabular, strategy_space_size,
-                   strategy_table)
+                   decode_strategy_profile, mixture_to_tabular, policy_product,
+                   strategy_space_size)
 from .simplexlp import solve_equality_feasibility
 
 DEFAULT_LP_CAP = 10**4
@@ -75,35 +75,12 @@ class EquilibriumCertificate:
         }
 
 
-def _as_own_view_dist(game: BayesianGame, i: int, dist) -> tuple:
-    """Split a distribution input into pieces the tensor kernels consume.
-
-    Returns ("mixture", weights, pol_i, opp_stack) or ("tabular", reshaped)
-    where reshaped has axes (Theta_i, Theta_-i, A_i, A_-i).
-    """
-    nt, na = game.num_types, game.num_actions
-    if isinstance(dist, MixtureDistribution):
-        opp = np.ones((dist.num_components, 1, 1))
-        for j in range(game.n):
-            if j == i:
-                continue
-            p = dist.policies[j]
-            opp = (opp[:, :, None, :, None] * p[:, None, :, None, :]).reshape(
-                opp.shape[0], opp.shape[1] * p.shape[1], opp.shape[2] * p.shape[2])
-        return "mixture", dist.weights, dist.policies[i], opp
-    pi = np.asarray(dist, dtype=float)
-    if pi.shape != nt + na:
-        raise BadInput(f"tabular distribution must have shape {nt + na}")
-    moved = np.moveaxis(pi, i, 0)
-    moved = np.moveaxis(moved, game.n + i, game.n)
-    ot = int(np.prod([nt[j] for j in range(game.n) if j != i], initial=1))
-    oa = int(np.prod([na[j] for j in range(game.n) if j != i], initial=1))
-    return "tabular", moved.reshape(nt[i], ot, na[i], oa)
-
-
 def deviation_tensor(game: BayesianGame, i: int, dist,
                      cap: int = DEFAULT_ENUM_CAP) -> DeviationGainTensor:
-    """Exact deviation-gain tensor by full enumeration over opponents."""
+    """Exact deviation-gain tensor by full enumeration over opponents.
+
+    ``dist`` is a mixture or an explicit array over (Theta..., A...).
+    """
     nt, na = game.num_types, game.num_actions
     cells = 1
     for j in range(game.n):
@@ -113,13 +90,18 @@ def deviation_tensor(game: BayesianGame, i: int, dist,
         raise EnumerationTooLarge(f"{cells} opponent cells exceed cap {cap}")
     cond = game.prior.conditional_matrix(i)
     v = game.payoff_from_own_view(i)         # (K, M, O, P)
-    parts = _as_own_view_dist(game, i, dist)
-    if parts[0] == "mixture":
-        _, weights, pol_i, opp = parts
+    if isinstance(dist, MixtureDistribution):
+        opp = policy_product(np.ones((dist.num_components, 1, 1)),
+                             [p for j, p in enumerate(dist.policies) if j != i])
         per_round = np.einsum("io,top,iaop->tia", cond, opp, v, optimize=True)
-        gains = np.einsum("t,tjb,tia->ijba", weights, pol_i, per_round, optimize=True)
+        gains = np.einsum("t,tjb,tia->ijba", dist.weights, dist.policies[i], per_round,
+                          optimize=True)
     else:
-        pi = parts[1]                        # (K_j', O, M_b, P)
+        pi = np.asarray(dist, dtype=float)
+        if pi.shape != nt + na:
+            raise BadInput(f"tabular distribution must have shape {nt + na}")
+        pi = np.moveaxis(np.moveaxis(pi, i, 0), game.n + i, game.n)
+        pi = pi.reshape(nt[i], v.shape[2], na[i], v.shape[3])   # (K_j', O, M_b, P)
         gains = np.einsum("io,jobp,iaop->ijba", cond, pi, v, optimize=True)
     rho = game.prior.marginals[i]
     truthful = float((rho * np.einsum("iibb->ib", gains).sum(axis=1)).sum())
@@ -242,91 +224,59 @@ def sfce_epsilon(game: BayesianGame, sigma: StrategyDistribution,
     return _sigma_epsilon(game, sigma, "sfce", strategy_cap)
 
 
-def _payoff_under_profile(game: BayesianGame, rows: list[np.ndarray], i: int,
-                          override_row: np.ndarray | None = None,
-                          override_action: int | None = None) -> np.ndarray:
-    """v_i(theta; s(theta)) over all theta, optionally overriding player i's play."""
-    nt = game.num_types
-    grids = np.ix_(*(np.arange(k) for k in nt))
-    actions = []
-    for j in range(game.n):
-        if j == i and override_action is not None:
-            actions.append(np.broadcast_to(np.int64(override_action), ()))
-        elif j == i and override_row is not None:
-            actions.append(override_row[grids[j]])
-        else:
-            actions.append(rows[j][grids[j]])
-    idx = tuple(grids) + tuple(actions)
-    return game.payoffs[i][idx]
-
-
 def _sigma_epsilon(game: BayesianGame, sigma: StrategyDistribution, klass: str,
                    cap: int) -> EquilibriumCertificate:
+    """Strategy-space classes as per-type reductions of one tensor per player.
+
+    R[t, theta_i, a_i] is the prior-weighted payoff of type theta_i playing a_i
+    against support profile t's opponents.  A deviation strategy's value is a
+    sum of one R entry per type, so every maximum over S_i is taken type by
+    type, and the first maximiser per type is the first maximiser in S_i.
+    """
     if sigma.size > cap:
         raise SupportTooLarge(f"|S| = {sigma.size} exceeds cap {cap}")
     if sigma.num_types != game.num_types or sigma.num_actions != game.num_actions:
         raise BadInput("strategy distribution dims disagree with the game")
-    prior_table = game.prior.full_table()
     support = np.flatnonzero(sigma.probs)
-    profiles = [decode_strategy_profile(int(s), sigma.num_types, sigma.num_actions)
-                for s in support]
+    w = sigma.probs[support]
+    rows = decode_strategy_profile(support, sigma.num_types, sigma.num_actions)
     devs = []
     for i in range(game.n):
-        nt_i, na_i = game.num_types[i], game.num_actions[i]
-        truthful = 0.0
-        played = []
-        for w, rows in zip(sigma.probs[support], profiles):
-            grid = _payoff_under_profile(game, rows, i)
-            played.append(grid)
-            truthful += float(w * (prior_table * grid).sum())
-        if klass == "sfcce":
-            table_i = strategy_table(nt_i, na_i)
-            best_gain, best_s = -np.inf, 0
-            for sp in range(table_i.shape[0]):
-                value = 0.0
-                for w, rows in zip(sigma.probs[support], profiles):
-                    grid = _payoff_under_profile(game, rows, i, override_row=table_i[sp])
-                    value += float(w * (prior_table * grid).sum())
-                if value - truthful > best_gain:
-                    best_gain, best_s = value - truthful, sp
-            devs.append(PlayerDeviation(i, best_gain,
-                                        {"strategy": table_i[best_s].tolist()}))
-        elif klass == "anfcce":
-            gains = np.full((nt_i, na_i), -np.inf)
-            for theta in range(nt_i):
-                mask = _type_mask(game, i, theta)
-                for a_dev in range(na_i):
-                    value = 0.0
-                    for w, (rows, grid) in zip(sigma.probs[support], zip(profiles, played)):
-                        dev_grid = _payoff_under_profile(game, rows, i, override_action=a_dev)
-                        value += float(w * (prior_table * mask * (dev_grid - grid)).sum())
-                    gains[theta, a_dev] = value
+        r = _strategy_class_tensor(game, i, rows)            # (T, K, M)
+        t_idx, k_idx = np.ogrid[:r.shape[0], :r.shape[1]]
+        followed = r[t_idx, k_idx, rows[i]]                  # (T, K)
+        if klass == "anfcce":
+            gains = np.tensordot(w, r - followed[:, :, None], 1)
             devs.append(PlayerDeviation(i, *_joint_coarse(gains)))
-        else:  # sfce: recommendation-conditional strategy swap
-            table_i = strategy_table(nt_i, na_i)
-            gain_total, witness = 0.0, {}
-            for rec in range(table_i.shape[0]):
-                members = [t for t, rows in enumerate(profiles)
-                           if np.array_equal(rows[i], table_i[rec])]
-                if not members:
-                    continue
-                base = sum(float(sigma.probs[support][t] * (prior_table * played[t]).sum())
-                           for t in members)
-                best = -np.inf
-                best_s = rec
-                for sp in range(table_i.shape[0]):
-                    value = 0.0
-                    for t in members:
-                        grid = _payoff_under_profile(game, profiles[t], i,
-                                                     override_row=table_i[sp])
-                        value += float(sigma.probs[support][t] * (prior_table * grid).sum())
-                    if value > best:
-                        best, best_s = value, sp
-                gain_total += best - base
-                if best_s != rec:
-                    witness[str(table_i[rec].tolist())] = table_i[best_s].tolist()
-            devs.append(PlayerDeviation(i, gain_total, {"swap": witness}))
+            continue
+        # sfce swaps each recommended strategy for its own best strategy;
+        # sfcce is the same with all of sigma as one group
+        recs, group = np.unique(rows[i], axis=0, return_inverse=True)
+        group = group.reshape(-1) if klass == "sfce" else np.zeros_like(support)
+        total = np.zeros((group.max() + 1,) + r.shape[1:])
+        np.add.at(total, group, w[:, None, None] * r)
+        gains = total.max(axis=2).sum(axis=1) - np.bincount(group, w * followed.sum(axis=1))
+        best = total.argmax(axis=2)
+        if klass == "sfcce":
+            devs.append(PlayerDeviation(i, float(gains[0]), {"strategy": best[0].tolist()}))
+        else:
+            swap = {str(rec.tolist()): b.tolist() for rec, b in zip(recs, best)
+                    if not np.array_equal(rec, b)}
+            devs.append(PlayerDeviation(i, float(gains.sum()), {"swap": swap}))
     return _certify(klass, devs)
+
+
+def _strategy_class_tensor(game: BayesianGame, i: int, rows) -> np.ndarray:
+    """R[t, theta_i, a_i] = sum_{theta_-i} rho(theta) v_i(theta; a_i, s_-i^t(theta_-i))."""
+    opp = np.zeros((rows[i].shape[0], 1), dtype=np.int64)   # flat A_-i index per (t, theta_-i)
+    for j in range(game.n):
+        if j != i:
+            opp = (opp[:, :, None] * game.num_actions[j] + rows[j][:, None, :]).reshape(
+                opp.shape[0], -1)
+    v = game.payoff_from_own_view(i)                          # (K, M, O, P)
+    played = v[:, :, np.arange(opp.shape[1]), opp]            # (K, M, T, O)
+    joint = np.moveaxis(game.prior.full_table(), i, 0).reshape(v.shape[0], 1, 1, -1)
+    return (joint * played).sum(axis=3).transpose(2, 0, 1)
 
 
 def _joint_coarse(gains: np.ndarray) -> tuple[float, dict]:
@@ -341,14 +291,6 @@ def _joint_coarse(gains: np.ndarray) -> tuple[float, dict]:
     witness = {"per_type_action": [int(choice[t]) if best[t] > 0 else None
                                    for t in range(gains.shape[0])]}
     return float(np.maximum(best, 0.0).sum()), witness
-
-
-def _type_mask(game: BayesianGame, i: int, theta: int) -> np.ndarray:
-    shape = [1] * game.n
-    shape[i] = game.num_types[i]
-    mask = np.zeros(game.num_types[i])
-    mask[theta] = 1.0
-    return mask.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +320,7 @@ def strategy_representable(pi: np.ndarray, cap: int = DEFAULT_LP_CAP
     size = strategy_space_size(nt, na)
     if size > cap:
         raise SupportTooLarge(f"|S| = {size} exceeds cap {cap}")
-    n_theta = int(np.prod(nt))
-    n_act = int(np.prod(na))
-    a_mat = np.zeros((n_theta * n_act + 1, size))
-    tables = [strategy_table(nt[i], na[i]) for i in range(n)]
-    for s in range(size):
-        rows = decode_strategy_profile(s, nt, na)
-        for flat_theta, theta in enumerate(np.ndindex(*nt)):
-            a_idx = 0
-            for j in range(n):
-                a_idx = a_idx * na[j] + int(rows[j][theta[j]])
-            a_mat[flat_theta * n_act + a_idx, s] = 1.0
-    a_mat[-1, :] = 1.0
+    a_mat = np.vstack([_profile_matrix(nt, na), np.ones((1, size))])
     b = np.concatenate([pi.reshape(-1), [1.0]])
     res = solve_equality_feasibility(a_mat, b)
     if res.feasible:
@@ -404,6 +335,19 @@ def strategy_representable(pi: np.ndarray, cap: int = DEFAULT_LP_CAP
     if certified < 1e-7 or worst_col > 1e-9:
         raise AuditError("Farkas certificate failed verification")
     return RepresentabilityResult(False, None, farkas, np.inf, certified)
+
+
+def _profile_matrix(nt, na) -> np.ndarray:
+    """(|Theta| |A|, |S|) 0/1 matrix: column s has a one at (theta, s(theta)) per theta."""
+    size = strategy_space_size(nt, na)
+    rows = decode_strategy_profile(np.arange(size), nt, na)
+    thetas = np.unravel_index(np.arange(int(np.prod(nt))), nt)
+    a_idx = 0
+    for j, r in enumerate(rows):
+        a_idx = a_idx * na[j] + r[:, thetas[j]]               # (|S|, |Theta|)
+    out = np.zeros((thetas[0].size * int(np.prod(na)), size))
+    out[np.arange(thetas[0].size) * int(np.prod(na)) + a_idx, np.arange(size)[:, None]] = 1.0
+    return out
 
 
 def _to_tabular(game: BayesianGame, dist) -> np.ndarray:

@@ -175,3 +175,171 @@ def reference_untruthful_trace(rho, num_actions, horizon, rewards):
         x = v.reshape(k, m)
         trace.append(x.copy())
     return trace
+
+
+# ---------------------------------------------------------------------------
+# straight-line references of the strategy-space classes, the smoothness
+# enumeration and the representability matrix
+
+def _payoff_under_profile(game, rows, i, override_row=None, override_action=None):
+    """v_i(theta; s(theta)) over all theta, optionally overriding player i's play."""
+    grids = np.ix_(*(np.arange(k) for k in game.num_types))
+    actions = []
+    for j in range(game.n):
+        if j == i and override_action is not None:
+            actions.append(np.broadcast_to(np.int64(override_action), ()))
+        elif j == i and override_row is not None:
+            actions.append(override_row[grids[j]])
+        else:
+            actions.append(rows[j][grids[j]])
+    return game.payoffs[i][tuple(grids) + tuple(actions)]
+
+
+def _type_mask(game, i, theta):
+    shape = [1] * game.n
+    shape[i] = game.num_types[i]
+    mask = np.zeros(game.num_types[i])
+    mask[theta] = 1.0
+    return mask.reshape(shape)
+
+
+def _strategy_table(k, m):
+    return np.array(list(itertools.product(range(m), repeat=k)), dtype=np.int64)
+
+
+def _decode(idx, num_types, num_actions):
+    digits = []
+    for i in reversed(range(len(num_types))):
+        row = np.empty(num_types[i], dtype=np.int64)
+        for k in reversed(range(num_types[i])):
+            row[k] = idx % num_actions[i]
+            idx //= num_actions[i]
+        digits.append(row)
+    return list(reversed(digits))
+
+
+def reference_sigma_classes(game, probs, klass):
+    """Per player (gain, witness) of sfce / sfcce / anfcce by looping over the
+    support and over every deviation strategy of S_i."""
+    prior_table = game.prior.full_table()
+    support = np.flatnonzero(probs)
+    profiles = [_decode(int(s), game.num_types, game.num_actions) for s in support]
+    out = []
+    for i in range(game.n):
+        nt_i, na_i = game.num_types[i], game.num_actions[i]
+        table_i = _strategy_table(nt_i, na_i)
+        played = [_payoff_under_profile(game, rows, i) for rows in profiles]
+        truthful = sum(float(w * (prior_table * grid).sum())
+                       for w, grid in zip(probs[support], played))
+        if klass == "sfcce":
+            best_gain, best_s = -np.inf, 0
+            for sp in range(table_i.shape[0]):
+                value = 0.0
+                for w, rows in zip(probs[support], profiles):
+                    grid = _payoff_under_profile(game, rows, i, override_row=table_i[sp])
+                    value += float(w * (prior_table * grid).sum())
+                if value - truthful > best_gain:
+                    best_gain, best_s = value - truthful, sp
+            out.append((best_gain, {"strategy": table_i[best_s].tolist()}))
+        elif klass == "anfcce":
+            gains = np.full((nt_i, na_i), -np.inf)
+            for theta in range(nt_i):
+                mask = _type_mask(game, i, theta)
+                for a_dev in range(na_i):
+                    value = 0.0
+                    for w, rows, grid in zip(probs[support], profiles, played):
+                        dev = _payoff_under_profile(game, rows, i, override_action=a_dev)
+                        value += float(w * (prior_table * mask * (dev - grid)).sum())
+                    gains[theta, a_dev] = value
+            best = gains.max(axis=1)
+            choice = gains.argmax(axis=1)
+            out.append((float(np.maximum(best, 0.0).sum()),
+                        {"per_type_action": [int(choice[t]) if best[t] > 0 else None
+                                             for t in range(nt_i)]}))
+        else:
+            gain_total, witness = 0.0, {}
+            for rec in range(table_i.shape[0]):
+                members = [t for t, rows in enumerate(profiles)
+                           if np.array_equal(rows[i], table_i[rec])]
+                if not members:
+                    continue
+                base = sum(float(probs[support][t] * (prior_table * played[t]).sum())
+                           for t in members)
+                best, best_s = -np.inf, rec
+                for sp in range(table_i.shape[0]):
+                    value = 0.0
+                    for t in members:
+                        grid = _payoff_under_profile(game, profiles[t], i,
+                                                     override_row=table_i[sp])
+                        value += float(probs[support][t] * (prior_table * grid).sum())
+                    if value > best:
+                        best, best_s = value, sp
+                gain_total += best - base
+                if best_s != rec:
+                    witness[str(table_i[rec].tolist())] = table_i[best_s].tolist()
+            out.append((gain_total, {"swap": witness}))
+    return out
+
+
+def _smoothness_cells(game, deviation, mode):
+    """Yield (theta, act, lhs, against, opt) for every cell, by plain loops."""
+    base = getattr(game, "base", game)
+    n, nt, na = base.n, base.num_types, base.num_actions
+    own = []
+    for i in range(n):
+        idx = [0] * n
+        idx[i] = slice(None)
+        own.append(base.payoffs[i][tuple(idx)])
+    welfare = np.zeros(nt + na)
+    parts = game.alloc_values if mode == "mechanism" else own
+    for theta in np.ndindex(*nt):
+        for act in np.ndindex(*na):
+            welfare[theta + act] = sum(float(parts[i][(theta[i],) + act]) for i in range(n))
+    charge = np.zeros(na)
+    if mode == "mechanism":
+        for p in game.payments:
+            charge += p
+    opt = welfare.reshape(nt + (-1,)).max(axis=-1)
+    for theta in np.ndindex(*nt):
+        for act in np.ndindex(*na):
+            lhs = 0.0
+            for i in range(n):
+                dev = list(act)
+                dev[i] = int(deviation[i][theta + (act[i],)])
+                lhs += float(own[i][(theta[i],) + tuple(dev)])
+            against = float(charge[act]) if mode == "mechanism" else float(welfare[theta + act])
+            yield theta, act, lhs, against, float(opt[theta])
+
+
+def reference_smoothness(game, spec):
+    """(min_slack, first witness in C order) of the smoothness inequality."""
+    min_slack, witness = np.inf, None
+    for theta, act, lhs, against, opt in _smoothness_cells(game, spec.deviation, spec.mode):
+        slack = lhs - spec.lam * opt + spec.mu * against
+        if slack < min_slack:
+            min_slack, witness = slack, (theta, act)
+    return float(min_slack), witness
+
+
+def reference_max_lambda(game, deviation, mode, mu):
+    best = np.inf
+    for _, _, lhs, against, opt in _smoothness_cells(game, deviation, mode):
+        if opt > 0:
+            best = min(best, (lhs + mu * against) / opt)
+    return float(best)
+
+
+def reference_representability_matrix(nt, na):
+    """One column per strategy profile, a one per type profile at the cell it plays."""
+    n = len(nt)
+    n_act = int(np.prod(na))
+    size = int(np.prod([m ** k for k, m in zip(nt, na)]))
+    a_mat = np.zeros((int(np.prod(nt)) * n_act, size))
+    for s in range(size):
+        rows = _decode(s, nt, na)
+        for flat_theta, theta in enumerate(np.ndindex(*nt)):
+            a_idx = 0
+            for j in range(n):
+                a_idx = a_idx * na[j] + int(rows[j][theta[j]])
+            a_mat[flat_theta * n_act + a_idx, s] = 1.0
+    return a_mat
