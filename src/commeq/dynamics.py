@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDims, BadInput, EnumerationTooLarge
-from .game import BayesianGame, MixtureDistribution, policy_product
+from .errors import BadDims, BadInput
+from .game import BayesianGame, MixtureDistribution, expected_rewards
 from .learners import StrategySwapLearner, TypewiseSwapLearner, UntruthfulSwapLearner
 from .regret import (RegretLedger, accumulate, external_regret, typewise_regret,
                      untruthful_bound, untruthful_regret)
@@ -29,6 +29,7 @@ from .regret import (RegretLedger, accumulate, external_regret, typewise_regret,
 DEFAULT_ENUMERATION_CAP = 10**7
 
 LEARNER_KINDS = ("untruthful", "typewise", "strategy-swap")
+REWARD_MODES = ("exact", "sampled")
 
 
 @dataclass(frozen=True)
@@ -69,18 +70,8 @@ class RunResult:
 def exact_reward(game: BayesianGame, i: int, policies,
                  cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """Exact expected reward u_i(theta_i, a_i) under the others' type-wise policies."""
-    nt, na = game.num_types, game.num_actions
-    other_cells = 1
-    for j in range(game.n):
-        if j != i:
-            other_cells *= nt[j] * na[j]
-    if other_cells > cap:
-        raise EnumerationTooLarge(f"{other_cells} opponent cells exceed cap {cap}")
-    opp = policy_product(np.ones((1, 1, 1)), [np.asarray(policies[j], dtype=float)[None]
-                                              for j in range(game.n) if j != i])[0]
-    cond = game.prior.conditional_matrix(i)
-    v = game.payoff_from_own_view(i)    # (K_i, M_i, T_-i, A_-i)
-    return np.einsum("io,op,iaop->ia", cond, opp, v, optimize=True)
+    opponents = [np.asarray(policies[j])[None] for j in range(game.n) if j != i]
+    return expected_rewards(game, i, opponents, cap)[0]
 
 
 def sample_count(epsilon: float, delta: float, n: int, horizon: int,
@@ -140,6 +131,8 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
         raise BadDims("thin_stride must divide the horizon")
     if config.threads < 1:
         raise BadInput("threads must be >= 1")
+    if config.reward_mode not in REWARD_MODES:
+        raise BadInput(f"unknown reward mode {config.reward_mode!r}")
     if config.reward_mode == "sampled" and not (config.epsilon > 0 and 0 < config.delta < 1):
         raise BadInput("sampled rewards need eps > 0 and 0 < delta < 1")
     kinds = config.learner_kinds(game.n)

@@ -10,17 +10,21 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadInput, SupportTooLarge, ZeroMassType
+from .errors import BadInput, EnumerationTooLarge, SupportTooLarge, ZeroMassType
 
 SUM_TOL_INGEST = 1e-12
 SUM_TOL_DERIVED = 1e-9
 
 DEFAULT_STRATEGY_CAP = 10**6
+
+# partial-sum cells expected_rewards holds per block of mixture components (8 MB)
+CONTRACT_BLOCK_CELLS = 2**20
 
 
 def _check_prob_vector(v: np.ndarray, what: str, tol: float = SUM_TOL_INGEST) -> None:
@@ -152,7 +156,7 @@ class BayesianGame:
 
     def payoff_from_own_view(self, i: int) -> np.ndarray:
         """Payoff of player i reshaped to (|Theta_i|, |A_i|, |Theta_-i|, |A_-i|)."""
-        cached = self._flat_payoffs.get(i)
+        cached = self._flat_payoffs.get(("own-view", i))
         if cached is not None:
             return cached
         nt, na = self.num_types, self.num_actions
@@ -162,8 +166,37 @@ class BayesianGame:
         oa = int(np.prod([na[j] for j in range(self.n) if j != i], initial=1))
         out = np.ascontiguousarray(v.reshape(nt[i], ot, na[i], oa).transpose(0, 2, 1, 3))
         # stored as (|Theta_i|, |A_i|, |Theta_-i|, |A_-i|)
-        self._flat_payoffs[i] = out
+        self._flat_payoffs[("own-view", i)] = out
         return out
+
+    def reward_matrix(self, i: int, cap: int | None = None) -> np.ndarray:
+        """rho(theta_-i | theta_i) * v_i as a (|Theta_i||A_i|, prod_j!=i |Theta_j||A_j|) matrix.
+
+        Rows are (theta_i, a_i); columns interleave (theta_j, a_j) over the
+        opponents in player order, so the opponent weight of a column is the
+        Kronecker product of the flattened opponent policies.  The column count
+        is checked against ``cap`` before anything is built.
+        """
+        out = self._flat_payoffs.get(("reward", i))
+        others = [j for j in range(self.n) if j != i]
+        cells = out.shape[1] if out is not None else math.prod(
+            len(self.type_labels[j]) * len(self.action_labels[j]) for j in others)
+        if cap is not None and cells > cap:
+            raise EnumerationTooLarge(f"{cells} opponent cells exceed cap {cap}")
+        if out is None:
+            nt, na = self.num_types, self.num_actions
+            out = np.ascontiguousarray(self.payoffs[i].transpose(reward_axes(self.n, i)))
+            out *= self.prior.conditional_matrix(i).reshape(
+                (nt[i], 1) + tuple(d for j in others for d in (nt[j], 1)))
+            out = out.reshape(nt[i] * na[i], cells)
+            self._flat_payoffs[("reward", i)] = out
+        return out
+
+
+def reward_axes(n: int, i: int) -> list[int]:
+    """Axes of a (Theta..., A...) array in reward-matrix order: (theta_i, a_i),
+    then (theta_j, a_j) for every opponent j in player order."""
+    return [ax for j in [i] + [j for j in range(n) if j != i] for ax in (j, n + j)]
 
 
 def tabulate_payoff_oracle(fn, num_types, num_actions, n_players: int) -> np.ndarray:
@@ -277,6 +310,33 @@ def policy_product(lead: np.ndarray, policies) -> np.ndarray:
         acc = acc[:, :, None, :, None] * p[:, None, :, None, :]
         acc = acc.reshape(acc.shape[0], acc.shape[1] * acc.shape[2], -1)
     return acc
+
+
+def expected_rewards(game: BayesianGame, i: int, opponents, cap: int | None = None) -> np.ndarray:
+    """Expected reward of each (theta_i, a_i) against stacked opponent policies.
+
+    ``opponents`` holds the (C, K_j, M_j) policies of every j != i in player
+    order; the result is (C, K_i, M_i), or (1, K_i, M_i) for a one-player game.
+    Opponents are summed out of ``game.reward_matrix(i)`` one at a time, first
+    opponent first, so every step reads long contiguous rows and the opponent
+    table is never built.  Components go in blocks whose partial sums hold
+    about CONTRACT_BLOCK_CELLS cells.
+    """
+    w = game.reward_matrix(i, cap)
+    shape = (len(game.type_labels[i]), len(game.action_labels[i]))
+    flat = [np.asarray(p, dtype=float).reshape(len(p), -1) for p in opponents]
+    if not flat:
+        return w.reshape((1,) + shape)
+    rows, comps, first = w.shape[0], flat[0].shape[0], flat[0].shape[1]
+    block = max(1, CONTRACT_BLOCK_CELLS * first // w.size)
+    out = np.empty((comps, rows))
+    for lo in range(0, comps, block):
+        acc = flat[0][lo:lo + block] @ w.reshape(rows, first, -1)     # (rows, b, rest)
+        for f in flat[1:]:
+            fb = f[lo:lo + block, None, :]
+            acc = (fb @ acc.reshape(rows, len(fb), fb.shape[2], -1))[:, :, 0]
+        out[lo:lo + block] = acc.reshape(rows, -1).T
+    return out.reshape((comps,) + shape)
 
 
 def mixture_to_tabular(mix: MixtureDistribution, cap: int = 10**6) -> np.ndarray:

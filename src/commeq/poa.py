@@ -9,6 +9,7 @@ n * epsilon, and the asserted ratio subtracts exactly that slack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +30,15 @@ class SmoothnessSpec:
 
     @staticmethod
     def create(lam: float, mu: float, mode: str, deviation) -> SmoothnessSpec:
-        if lam <= 0 or mu < 0:
-            raise BadInput("need lambda > 0 and mu >= 0")
+        try:
+            lam, mu = float(lam), float(mu)
+        except (TypeError, ValueError) as exc:
+            raise BadInput(f"lambda and mu must be numbers: {exc}") from exc
+        if not (0 < lam < math.inf and 0 <= mu < math.inf):    # NaN fails too
+            raise BadInput("need finite lambda > 0 and mu >= 0")
         if mode not in ("game", "mechanism"):
             raise BadInput(f"unknown smoothness mode {mode!r}")
-        return SmoothnessSpec(float(lam), float(mu),
-                              mode, tuple(np.asarray(d, dtype=np.int64) for d in deviation))
+        return SmoothnessSpec(lam, mu, mode, tuple(np.asarray(d, dtype=np.int64) for d in deviation))
 
 
 @dataclass(frozen=True)

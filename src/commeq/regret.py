@@ -17,6 +17,7 @@ import numpy as np
 from .errors import AuditError, BadInput, SupportTooLarge
 
 NEGATIVE_REGRET_TOL = 1e-9
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -52,8 +53,28 @@ def accumulate(ledger: RegretLedger, x_t: np.ndarray, u_t: np.ndarray) -> Regret
     return ledger
 
 
-def _checked(value: float, what: str) -> float:
-    if value < -NEGATIVE_REGRET_TOL:
+def _drift(rounds: int, cells: int, scale: float) -> float:
+    """Float drift of a difference of two sums of nonnegative terms, accumulated
+    over ``rounds`` rounds into ``cells`` entries no larger than ``scale``.
+
+    Recursive summation of n nonnegative terms is off by at most about
+    n * eps/2 of its value (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 4); a regret is negative only when its first sum is below
+    the second, so both are at most ``scale`` there.
+    """
+    return (rounds + cells) * EPS * scale
+
+
+def _ledger_drift(ledger: RegretLedger) -> float:
+    """_drift for a ledger: its rounds, its cells and its largest cumulative entry."""
+    scale = max(abs(ledger.alg_reward), float(np.abs(ledger.cross).max(initial=0.0)))
+    return _drift(ledger.rounds, ledger.cross.size, scale)
+
+
+def _checked(value: float, what: str, drift) -> float:
+    """Reject a value below -max(NEGATIVE_REGRET_TOL, drift()); ``drift`` is
+    only called for values below -NEGATIVE_REGRET_TOL."""
+    if value < -NEGATIVE_REGRET_TOL and value < -drift():
         raise AuditError(f"{what} is {value:.3e} < 0; the identity deviation forbids this")
     return value
 
@@ -62,14 +83,14 @@ def untruthful_regret(ledger: RegretLedger) -> float:
     """Exact max over all (type misreport, action swap) pairs, by decomposition."""
     per_report = ledger.cross.max(axis=2).sum(axis=2)   # (K true, K reported)
     value = float(per_report.max(axis=1).sum()) - ledger.alg_reward
-    return _checked(value, "untruthful swap regret")
+    return _checked(value, "untruthful swap regret", lambda: _ledger_drift(ledger))
 
 
 def typewise_regret(ledger: RegretLedger) -> float:
     """Action swaps only (truthful reporting)."""
     diag = np.einsum("iiab->iab", ledger.cross)
     value = float(diag.max(axis=1).sum()) - ledger.alg_reward
-    return _checked(value, "type-wise swap regret")
+    return _checked(value, "type-wise swap regret", lambda: _ledger_drift(ledger))
 
 
 def external_regret(ledger: RegretLedger) -> float:
@@ -104,8 +125,9 @@ def ledger_diagonal_gap(ledger: RegretLedger) -> float:
 
 
 def audit_ledger(ledger: RegretLedger, tol: float = 1e-9) -> None:
+    """Check the diagonal identity within ``tol`` or the ledger's float drift."""
     gap = ledger_diagonal_gap(ledger)
-    if gap > tol:
+    if gap > tol and gap > _ledger_drift(ledger):
         raise AuditError(f"ledger diagonal identity off by {gap:.3e}")
     if ledger.cross.min() < -tol:
         raise AuditError("negative cross-tensor entry")
@@ -134,7 +156,8 @@ def strategy_regret(sigmas, rewards, prior_row, cap: int = 10**4) -> float:
     deviation = float((rho[None, :] * cum.max(axis=2)).sum())
     played = u[:, np.arange(k)[None, :], table]         # (T, S, K)
     achieved = float(np.einsum("ts,k,tsk->", sig, rho, played))
-    return _checked(deviation - achieved, "strategy swap regret")
+    return _checked(deviation - achieved, "strategy swap regret",
+                    lambda: _drift(t, cum.size, max(abs(deviation), abs(achieved))))
 
 
 def untruthful_bound(t: int, num_types: int, num_actions: int) -> float:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AuditError, BadInput, EnumerationTooLarge, SupportTooLarge
+from .errors import AuditError, BadInput, SupportTooLarge
 from .game import (BayesianGame, MixtureDistribution, StrategyDistribution,
-                   decode_strategy_profile, mixture_to_tabular, policy_product,
+                   decode_strategy_profile, expected_rewards, mixture_to_tabular, reward_axes,
                    strategy_space_size)
 from .simplexlp import solve_equality_feasibility
 
@@ -77,32 +77,23 @@ class EquilibriumCertificate:
 
 def deviation_tensor(game: BayesianGame, i: int, dist,
                      cap: int = DEFAULT_ENUM_CAP) -> DeviationGainTensor:
-    """Exact deviation-gain tensor by full enumeration over opponents.
+    """Exact deviation-gain tensor, contracted against ``game.reward_matrix(i)``.
 
     ``dist`` is a mixture or an explicit array over (Theta..., A...).
     """
     nt, na = game.num_types, game.num_actions
-    cells = 1
-    for j in range(game.n):
-        if j != i:
-            cells *= nt[j] * na[j]
-    if cells > cap:
-        raise EnumerationTooLarge(f"{cells} opponent cells exceed cap {cap}")
-    cond = game.prior.conditional_matrix(i)
-    v = game.payoff_from_own_view(i)         # (K, M, O, P)
+    k, m = nt[i], na[i]
     if isinstance(dist, MixtureDistribution):
-        opp = policy_product(np.ones((dist.num_components, 1, 1)),
-                             [p for j, p in enumerate(dist.policies) if j != i])
-        per_round = np.einsum("io,top,iaop->tia", cond, opp, v, optimize=True)
-        gains = np.einsum("t,tjb,tia->ijba", dist.weights, dist.policies[i], per_round,
-                          optimize=True)
+        others = [p for j, p in enumerate(dist.policies) if j != i]
+        per_round = expected_rewards(game, i, others, cap).reshape(-1, k * m)
+        flat = (dist.weights[:, None] * per_round).T @ dist.policies[i].reshape(-1, k * m)
     else:
+        w = game.reward_matrix(i, cap)
         pi = np.asarray(dist, dtype=float)
         if pi.shape != nt + na:
             raise BadInput(f"tabular distribution must have shape {nt + na}")
-        pi = np.moveaxis(np.moveaxis(pi, i, 0), game.n + i, game.n)
-        pi = pi.reshape(nt[i], v.shape[2], na[i], v.shape[3])   # (K_j', O, M_b, P)
-        gains = np.einsum("io,jobp,iaop->ijba", cond, pi, v, optimize=True)
+        flat = w @ pi.transpose(reward_axes(game.n, i)).reshape(k * m, -1).T
+    gains = flat.reshape(k, m, k, m).transpose(0, 2, 3, 1)    # flat is ((theta, a), (theta', b))
     rho = game.prior.marginals[i]
     truthful = float((rho * np.einsum("iibb->ib", gains).sum(axis=1)).sum())
     return DeviationGainTensor(i, gains, truthful)

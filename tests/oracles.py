@@ -343,3 +343,46 @@ def reference_representability_matrix(nt, na):
                 a_idx = a_idx * na[j] + int(rows[j][theta[j]])
             a_mat[flat_theta * n_act + a_idx, s] = 1.0
     return a_mat
+
+
+def _opponent_table(policies):
+    """Stacked Kronecker product: out[c, (theta_j...), (a_j...)] = prod_j p_j[c, theta_j, a_j]."""
+    acc = np.ones((policies[0].shape[0] if policies else 1, 1, 1))
+    for p in policies:
+        acc = acc[:, :, None, :, None] * p[:, None, :, None, :]
+        acc = acc.reshape(acc.shape[0], acc.shape[1] * acc.shape[2], -1)
+    return acc
+
+
+def reference_exact_reward(game, i, policies, cap=10**7):
+    """The exact reward oracle as one einsum over the full opponent table."""
+    from commeq.errors import EnumerationTooLarge
+
+    nt, na = game.num_types, game.num_actions
+    cells = math.prod(nt[j] * na[j] for j in range(game.n) if j != i)
+    if cells > cap:
+        raise EnumerationTooLarge(f"{cells} opponent cells exceed cap {cap}")
+    opp = _opponent_table([np.asarray(policies[j], dtype=float)[None]
+                           for j in range(game.n) if j != i])[0]
+    cond = game.prior.conditional_matrix(i)
+    v = game.payoff_from_own_view(i)    # (K_i, M_i, T_-i, A_-i)
+    return np.einsum("io,op,iaop->ia", cond, opp, v, optimize=True)
+
+
+def reference_deviation_gains(game, i, dist):
+    """G[theta, theta', a', a] by einsum over the full opponent table (mixtures)
+    or the reshaped distribution (tabular arrays)."""
+    from commeq.game import MixtureDistribution
+
+    nt, na = game.num_types, game.num_actions
+    cond = game.prior.conditional_matrix(i)
+    v = game.payoff_from_own_view(i)         # (K, M, O, P)
+    if isinstance(dist, MixtureDistribution):
+        opp = _opponent_table([p for j, p in enumerate(dist.policies) if j != i])
+        opp = np.broadcast_to(opp, (dist.num_components,) + opp.shape[1:])
+        per_round = np.einsum("io,top,iaop->tia", cond, opp, v, optimize=True)
+        return np.einsum("t,tjb,tia->ijba", dist.weights, dist.policies[i], per_round,
+                         optimize=True)
+    pi = np.moveaxis(np.moveaxis(np.asarray(dist, dtype=float), i, 0), game.n + i, game.n)
+    pi = pi.reshape(nt[i], v.shape[2], na[i], v.shape[3])   # (K_j', O, M_b, P)
+    return np.einsum("io,jobp,iaop->ijba", cond, pi, v, optimize=True)

@@ -13,7 +13,7 @@ from commeq.dynamics import DynamicsConfig, run_dynamics
 from commeq.errors import BadInput
 from commeq.game import (SUM_TOL_DERIVED, StrategyDistribution, PriorModel, game_to_json_dict,
                          load_game, validate_game)
-from commeq.poa import smoothness_frontier
+from commeq.poa import SmoothnessSpec, smoothness_frontier
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 MATCHING = os.path.join(FIXTURES, "matching_game.json")
@@ -180,3 +180,24 @@ def test_poa_quasilinear_block_missing_field_is_bad_input(tmp_path, capsys):
                  os.path.join(FIXTURES, "auction_smoothness.json")])
     err = capsys.readouterr().err
     assert code == 1 and "quasilinear" in err
+
+
+def test_run_dynamics_rejects_unknown_reward_mode():
+    with pytest.raises(BadInput, match="reward mode"):
+        run_dynamics(fixtures.matching_game(), DynamicsConfig(horizon=5, reward_mode="bogus"))
+
+
+@pytest.mark.parametrize("field, value", [("lambda", float("nan")), ("lambda", float("inf")),
+                                          ("mu", float("nan")), ("mu", float("inf"))])
+def test_non_finite_smoothness_spec_is_bad_input(tmp_path, capsys, field, value):
+    spec_path = os.path.join(FIXTURES, "auction_smoothness.json")
+    with open(spec_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc[field] = value
+    with pytest.raises(BadInput):
+        SmoothnessSpec.create(doc["lambda"], doc["mu"], doc["mode"], doc["deviation"])
+    code = main(["poa", os.path.join(FIXTURES, "first_price_auction.json"),
+                 os.path.join(FIXTURES, "guessing_pi.json"),
+                 write_json(tmp_path / "spec.json", doc)])
+    err = capsys.readouterr().err
+    assert code == 1 and "lambda" in err

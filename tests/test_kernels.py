@@ -1,19 +1,24 @@
 """The vectorised kernels against the straight-line references in oracles.py,
 on random tiny games."""
 
+import os
+
 import numpy as np
 import pytest
 
-from commeq.dynamics import exact_reward
+from commeq import dynamics, game as game_module
+from commeq.dynamics import DynamicsConfig, exact_reward, run_dynamics
+from commeq.errors import EnumerationTooLarge
 from commeq.game import (BayesianGame, MixtureDistribution, PriorModel,
-                         StrategyDistribution, mixture_eval, mixture_to_tabular,
+                         StrategyDistribution, load_game, mixture_eval, mixture_to_tabular,
                          strategy_space_size)
 from commeq.poa import (QuasilinearGame, SmoothnessSpec, check_smoothness,
                         smoothness_frontier)
-from commeq.verifier import _profile_matrix, coarse_epsilon, sfce_epsilon
+from commeq.verifier import _profile_matrix, coarse_epsilon, deviation_tensor, sfce_epsilon
 
-from .oracles import (reference_max_lambda, reference_representability_matrix,
-                      reference_sigma_classes, reference_smoothness)
+from .oracles import (reference_deviation_gains, reference_exact_reward, reference_max_lambda,
+                      reference_representability_matrix, reference_sigma_classes,
+                      reference_smoothness)
 
 GAMES = 60
 
@@ -163,3 +168,77 @@ def test_policy_product_matches_pointwise_definitions():
             live = game.prior.marginals[i] > 0
             np.testing.assert_allclose(exact_reward(game, i, profile)[live], want[live],
                                        atol=1e-14)
+
+
+def random_mixture(rng, game, components):
+    policies = [rng.dirichlet(np.ones(m), size=(components, k))
+                for k, m in zip(game.num_types, game.num_actions)]
+    return MixtureDistribution.from_stacked(rng.dirichlet(np.ones(components)), policies)
+
+
+def test_reward_kernel_matches_einsum_reference(monkeypatch):
+    """Oracle and both deviation-tensor branches; block sizes of one component,
+    a few components and the default, so mixtures span several blocks."""
+    rng = np.random.default_rng(13)
+    spanned = 0
+    for g in range(GAMES):
+        block_cells = (1, 24, game_module.CONTRACT_BLOCK_CELLS)[g % 3]
+        monkeypatch.setattr(game_module, "CONTRACT_BLOCK_CELLS", block_cells)
+        game = random_game(rng, dyadic=False)
+        nt, na = game.num_types, game.num_actions
+        mix = random_mixture(rng, game, int(rng.integers(1, 10)))
+        tab = rng.random(nt + na) * (rng.random(nt + na) < 0.7)      # zero cells
+        tab.reshape(-1)[0] += 1.0
+        tab /= tab.sum()
+        profile = mix.component(0)
+        for i in range(game.n):
+            np.testing.assert_allclose(exact_reward(game, i, profile),
+                                       reference_exact_reward(game, i, profile),
+                                       rtol=0, atol=1e-13)
+            for dist in (mix, tab):
+                got = deviation_tensor(game, i, dist)
+                want = reference_deviation_gains(game, i, dist)
+                np.testing.assert_allclose(got.gains, want, rtol=0, atol=1e-13)
+                rho = game.prior.marginals[i]
+                truthful = float((rho * np.einsum("iibb->ib", want).sum(axis=1)).sum())
+                assert abs(got.truthful - truthful) <= 1e-13
+        spanned += block_cells == 1 and mix.num_components > 1 and game.n > 1
+    assert spanned > 0
+
+
+def test_enumeration_cap_raises_before_the_reward_matrix_is_built():
+    rng = np.random.default_rng(17)
+    while True:
+        game = random_game(rng, dyadic=False)
+        if game.n > 1:
+            break
+    mix = random_mixture(rng, game, 3)
+    tab = mixture_to_tabular(mix)
+    with pytest.raises(EnumerationTooLarge):
+        exact_reward(game, 0, mix.component(0), cap=1)
+    for dist in (mix, tab):
+        with pytest.raises(EnumerationTooLarge):
+            deviation_tensor(game, 0, dist, cap=1)
+    assert game._flat_payoffs == {}
+
+
+GAME_FIXTURES = ("correlated_coarse_game", "first_price_auction", "guessing_game",
+                 "matching_game", "zero_payoff_game")
+
+
+@pytest.mark.parametrize("name", GAME_FIXTURES)
+def test_dynamics_with_reference_oracle_agree(monkeypatch, name):
+    game = load_game(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                                  f"{name}.json"))
+    for learners in ("untruthful", "typewise"):
+        config = DynamicsConfig(horizon=300, learners=learners)
+        fast = run_dynamics(game, config)
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "exact_reward",
+                          lambda *args: calls.append(1) or reference_exact_reward(*args))
+            slow = run_dynamics(game, config)
+        assert len(calls) == 300 * game.n
+        assert abs(fast.certificate - slow.certificate) <= 1e-12
+        for a, b in zip(fast.mixture.policies, slow.mixture.policies):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)

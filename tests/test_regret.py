@@ -222,3 +222,29 @@ def test_bound_formula_degenerate_dims():
     assert untruthful_bound(100, 1, 2) == pytest.approx(
         6 * np.sqrt(100 * 2 * np.log(2)) + 4 * np.log(2))
     assert untruthful_bound(100, 1, 1) == 0.0
+
+
+def _constant_stream(rounds, checked=False):
+    """u = 0.7 everywhere against uniform play, K = M = 3: zero regret exactly,
+    so every negative value is float drift.  ``checked`` evaluates the swap
+    regrets after every round, as the dynamics do."""
+    ledger = RegretLedger.create(np.full(3, 1.0 / 3), 3)
+    x, u = np.full((3, 3), 1.0 / 3), np.full((3, 3), 0.7)
+    for _ in range(rounds):
+        accumulate(ledger, x, u)
+        if checked:
+            untruthful_regret(ledger)
+            typewise_regret(ledger)
+    return ledger
+
+
+def test_negative_regret_slack_grows_with_the_horizon():
+    ledger = _constant_stream(50_000, checked=True)
+    assert untruthful_regret(ledger) < -1e-9         # drift beyond the old fixed 1e-9
+    audit_ledger(ledger)
+    for rounds in (100, 50_000):
+        inflated = (ledger if rounds == 50_000 else _constant_stream(rounds)).copy()
+        inflated.alg_reward += 1e-6
+        for check in (untruthful_regret, typewise_regret, audit_ledger):
+            with pytest.raises(AuditError):
+                check(inflated)
