@@ -24,10 +24,18 @@ LEARNER_FP_CAP = 20_000
 DEFAULT_STRATEGY_LEARNER_CAP = 4096
 
 
-def _softmax(logw: np.ndarray) -> np.ndarray:
-    z = logw - logw.max(axis=-1, keepdims=True)
+def _softmax(logw: np.ndarray, axis: int) -> np.ndarray:
+    z = logw - logw.max(axis=axis, keepdims=True)
     w = np.exp(z)
-    return w / w.sum(axis=-1, keepdims=True)
+    return w / w.sum(axis=axis, keepdims=True)
+
+
+def _check_reward(u: np.ndarray, top, tol: float) -> None:
+    """Reject rewards outside [-tol, top + tol]; written so that NaN fails too.
+    ``top`` is the reward range, a scalar or one per learner."""
+    if not (u.min() >= -tol and (u <= top + tol).all()):
+        raise RewardOutOfRange(f"reward entries span [{u.min():.6g}, {u.max():.6g}], "
+                               "outside the range [0, r] or not finite")
 
 
 def fixed_rate_eta(num_decisions: int, horizon: int) -> float:
@@ -56,14 +64,13 @@ class MwuLearner:
 
     @property
     def decision(self) -> np.ndarray:
-        return _softmax(self.logw)
+        return _softmax(self.logw, axis=0)
 
     def update(self, reward) -> np.ndarray:
         reward = np.asarray(reward, dtype=float)
         if reward.shape != (self.d,):
             raise BadInput(f"reward must have {self.d} entries")
-        if reward.min() < -REWARD_TOL or reward.max() > self.r + REWARD_TOL:
-            raise RewardOutOfRange(f"reward outside [0, {self.r}]")
+        _check_reward(reward, self.r, REWARD_TOL)
         self.alg_reward += float(self.decision @ reward)
         self.total_arm_reward += reward
         self.rounds += 1
@@ -97,14 +104,13 @@ class DoublingMwu:
 
     @property
     def decision(self) -> np.ndarray:
-        return _softmax(self.logw)
+        return _softmax(self.logw, axis=0)
 
     def update(self, reward) -> np.ndarray:
         reward = np.asarray(reward, dtype=float)
         if reward.shape != (self.d,):
             raise BadInput(f"reward must have {self.d} entries")
-        if reward.min() < -REWARD_TOL or reward.max() > self.r + REWARD_TOL:
-            raise RewardOutOfRange(f"reward outside [0, {self.r}]")
+        _check_reward(reward, self.r, REWARD_TOL)
         self.alg_reward += float(self.decision @ reward)
         self.total_arm_reward += reward
         self.rounds += 1
@@ -127,44 +133,42 @@ class DoublingMwu:
 class _DoublingBank:
     """A grid of independent doubling-trick MWU learners sharing decision size d.
 
-    ``shape`` indexes the learners; rewards arrive as an array of shape
-    ``shape + (d,)``.  ``ranges`` broadcasts against ``shape`` and gives each
-    learner's reward range; zero-range learners ignore updates and stay
+    ``shape`` indexes the learners.  Weights, rewards and decisions are laid
+    out decision axis first, ``(d,) + shape``, so each per-learner max or sum
+    is d - 1 elementwise operations over contiguous slabs instead of one tiny
+    reduction per learner.  ``ranges`` broadcasts against ``shape`` and gives
+    each learner's reward range; zero-range learners ignore updates and stay
     uniform.
     """
 
-    def __init__(self, shape: tuple[int, ...], d: int, ranges: np.ndarray):
+    def __init__(self, shape: tuple[int, ...], d: int, ranges):
         self.shape = shape
         self.d = int(d)
         self.ranges = np.broadcast_to(np.asarray(ranges, dtype=float), shape).copy()
         self.live = self.ranges > 0
-        self.logw = np.zeros(shape + (d,))
-        self.epoch_cum = np.zeros(shape + (d,))
+        self.logw = np.zeros((d,) + shape)
+        self.epoch_cum = np.zeros((d,) + shape)
         logd = math.log(d) if d > 1 else 0.0
         self.budget = np.full(shape, logd)
         self.eta = np.ones(shape) if d > 1 else np.zeros(shape)
 
     def decisions(self) -> np.ndarray:
-        return _softmax(self.logw)
+        return _softmax(self.logw, axis=0)
 
     def update(self, rewards: np.ndarray) -> None:
+        # slightly looser than the public 1e-9: fixed-point and reward dust compound
+        _check_reward(rewards, self.ranges, 1e-8)
         if self.d <= 1:
             return
-        # slightly looser than the public 1e-9: fixed-point and reward dust compound
-        limit = self.ranges[..., None] + 1e-8
-        if rewards.min() < -1e-8 or np.any(rewards > limit):
-            raise RewardOutOfRange("bank reward outside [0, r]")
-        rn = np.where(self.live[..., None], rewards, 0.0)
-        rn = np.divide(rn, self.ranges[..., None], out=rn,
-                       where=self.live[..., None])
-        self.logw += self.eta[..., None] * rn
+        rn = np.divide(rewards, self.ranges, out=np.zeros(rewards.shape), where=self.live)
+        self.logw += self.eta * rn
         self.epoch_cum += rn
-        burst = self.epoch_cum.max(axis=-1) > self.budget
+        burst = self.epoch_cum.max(axis=0) > self.budget
         if burst.any():
             self.budget[burst] *= 2.0
             self.eta[burst] = np.sqrt(math.log(self.d) / self.budget[burst])
-            self.logw[burst] = 0.0
-            self.epoch_cum[burst] = 0.0
+            self.logw[:, burst] = 0.0
+            self.epoch_cum[:, burst] = 0.0
 
 
 def _hot_fixed_point(dense: np.ndarray, seed: np.ndarray, tol: float,
@@ -203,8 +207,8 @@ class UntruthfulSwapLearner:
         self.logw = np.zeros((self.K, self.K))
         self.bank = _DoublingBank((self.K, self.K, self.M), self.M,
                                   self.rho[:, None, None])
-        self.w = _softmax(self.logw)
-        self.y = self.bank.decisions()        # (K, K, M_a', M_a)
+        self.w = _softmax(self.logw, axis=1)
+        self.y = self.bank.decisions()        # (M_a, K, K, M_a')
         self.x = uniform_policy(self.K, self.M)
         self.rounds = 0
 
@@ -219,29 +223,27 @@ class UntruthfulSwapLearner:
     def _feed(self, u: np.ndarray) -> None:
         if u.shape != (self.K, self.M):
             raise BadInput(f"reward must have shape {(self.K, self.M)}")
-        if u.min() < -REWARD_TOL or u.max() > 1 + REWARD_TOL:
-            raise RewardOutOfRange("reward outside [0, 1]")
+        _check_reward(u, 1.0, REWARD_TOL)
         ubar = self.rho[:, None] * u
         # doubling subroutine (theta, theta', a') sees reward x(theta',a') * ubar(theta,a)
-        split = self.x[None, :, :, None] * ubar[:, None, None, :]
+        split = ubar.T[:, :, None, None] * self.x          # (a, theta, theta', a')
         self.bank.update(split)
         # type subroutine theta sees, per decision theta', the y-weighted collapse
-        z = (self.y * split).sum(axis=(2, 3))
+        z = np.einsum("atpb,atpb->tp", self.y, split)
         if self.K > 1:
-            zn = np.where(self.rho[:, None] > 0, z, 0.0)
-            zn = np.divide(zn, self.rho[:, None], out=zn, where=self.rho[:, None] > 0)
-            self.logw += self.eta_type * zn
+            self.logw += self.eta_type * np.divide(z, self.rho[:, None], out=np.zeros(z.shape),
+                                                   where=self.rho[:, None] > 0)
 
     def _decide(self) -> None:
-        self.w = _softmax(self.logw)
+        self.w = _softmax(self.logw, axis=1)
         self.y = self.bank.decisions()
-        q4 = self.w[:, None, :, None] * self.y.transpose(0, 3, 1, 2)
-        dense = q4.reshape(self.K * self.M, self.K * self.M)
-        x = _hot_fixed_point(dense, self.x.reshape(-1), self.fp_tol, (self.K, self.M))
+        x = _hot_fixed_point(self.current_transform_dense(), self.x.reshape(-1),
+                             self.fp_tol, (self.K, self.M))
         self.x = x.reshape(self.K, self.M)
 
     def current_transform_dense(self) -> np.ndarray:
-        q4 = self.w[:, None, :, None] * self.y.transpose(0, 3, 1, 2)
+        """Q((theta, a), (theta', a')) = w(theta, theta') y(a | theta, theta', a')."""
+        q4 = self.w[:, None, :, None] * self.y.transpose(1, 0, 2, 3)
         return q4.reshape(self.K * self.M, self.K * self.M)
 
 
@@ -254,19 +256,18 @@ class SwapRegretLearner:
                  fp_tol: float = LEARNER_FP_TOL):
         self.M = int(num_actions)
         self.fp_tol = float(fp_tol)
-        self.bank = _DoublingBank((1, 1, self.M), self.M,
-                                  np.asarray([reward_range])[:, None, None])
-        self.y = self.bank.decisions()
+        self.bank = _DoublingBank((self.M,), self.M, reward_range)
         self.p = np.full(self.M, 1.0 / self.M)
 
     def step(self, prev_reward=None) -> np.ndarray:
         if prev_reward is not None:
             u = np.asarray(prev_reward, dtype=float)
-            split = self.p[None, None, :, None] * u[None, None, None, :]
-            self.bank.update(split)
-        self.y = self.bank.decisions()
-        dense = (1.0 * self.y.transpose(0, 3, 1, 2)).reshape(self.M, self.M)
-        self.p = _hot_fixed_point(dense, self.p, self.fp_tol, (1, self.M))
+            if u.shape != (self.M,):
+                raise BadInput(f"reward must have {self.M} entries")
+            _check_reward(u, self.bank.ranges, REWARD_TOL)
+            self.bank.update(u[:, None] * self.p)
+        # decisions()[a, a'] is expert a''s weight on a: already the dense transform
+        self.p = _hot_fixed_point(self.bank.decisions(), self.p, self.fp_tol, (1, self.M))
         return self.p.copy()
 
 
@@ -282,13 +283,14 @@ class TypewiseSwapLearner:
                          for r in self.rho]
 
     def step(self, prev_reward=None) -> np.ndarray:
-        rows = []
-        for theta, learner in enumerate(self.per_type):
-            fed = None
-            if prev_reward is not None:
-                fed = self.rho[theta] * np.asarray(prev_reward[theta], dtype=float)
-            rows.append(learner.step(fed))
-        return np.stack(rows)
+        fed = [None] * self.K
+        if prev_reward is not None:
+            u = np.asarray(prev_reward, dtype=float)
+            if u.shape != (self.K, self.M):
+                raise BadInput(f"reward must have shape {(self.K, self.M)}")
+            _check_reward(u, 1.0, REWARD_TOL)
+            fed = self.rho[:, None] * u
+        return np.stack([learner.step(f) for learner, f in zip(self.per_type, fed)])
 
 
 class StrategySwapLearner:
@@ -310,7 +312,7 @@ class StrategySwapLearner:
             raise SupportTooLarge(f"|S_i| = {size} exceeds learner cap {cap}")
         self.S = size
         self.table = strategy_table(self.K, self.M)     # (S, K) action indices
-        self.bank = _DoublingBank((self.S, self.K), self.M, np.ones((self.S, self.K)))
+        self.bank = _DoublingBank((self.S, self.K), self.M, 1.0)
         self.sigma = np.full(self.S, 1.0 / self.S)
 
     def step(self, prev_reward=None) -> np.ndarray:
@@ -318,14 +320,12 @@ class StrategySwapLearner:
             u = np.asarray(prev_reward, dtype=float)
             if u.shape != (self.K, self.M):
                 raise BadInput(f"reward must have shape {(self.K, self.M)}")
-            if u.min() < -REWARD_TOL or u.max() > 1 + REWARD_TOL:
-                raise RewardOutOfRange("reward outside [0, 1]")
-            split = self.sigma[:, None, None] * u[None, :, :]
-            self.bank.update(split)
-        z = self.bank.decisions()                       # (S, K, M)
+            _check_reward(u, 1.0, REWARD_TOL)
+            self.bank.update(u.T[:, None, :] * self.sigma[:, None])
+        z = self.bank.decisions()                       # (M, S, K)
         p = np.ones((self.S, self.S))
         for theta in range(self.K):
-            p *= z[:, theta, self.table[:, theta]].T    # P(s, s') = prod_theta z_{s',theta}(s(theta))
+            p *= z[self.table[:, theta], :, theta]      # P(s, s') = prod_theta z_{s',theta}(s(theta))
         self.sigma = _hot_fixed_point(p, self.sigma, self.fp_tol, (1, self.S))
         return self.sigma.copy()
 

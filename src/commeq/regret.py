@@ -18,6 +18,7 @@ from .errors import AuditError, BadInput, SupportTooLarge
 
 NEGATIVE_REGRET_TOL = 1e-9
 EPS = float(np.finfo(float).eps)
+TIE_ULPS = 8
 
 
 @dataclass
@@ -104,14 +105,25 @@ def external_regret(ledger: RegretLedger) -> float:
     return float(diag.sum(axis=2).max(axis=1).sum()) - ledger.alg_reward
 
 
-def untruthful_witness(ledger: RegretLedger) -> tuple[np.ndarray, np.ndarray, float]:
-    """An argmax deviation (psi, phi) achieving the untruthful swap regret.
+def first_near_max(values: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
+    """Per row, the lowest index whose value is at least the row maximum minus
+    TIE_ULPS ulps of the row's largest ``magnitude`` (the summed absolute
+    terms behind each value).  A plain argmax flips between entries that tie
+    up to float dust whenever a summation order changes."""
+    slack = TIE_ULPS * EPS * magnitude.max(axis=1, keepdims=True)
+    return (values >= values.max(axis=1, keepdims=True) - slack).argmax(axis=1)
 
-    Ties break toward the lowest ordinal via first-occurrence argmax.
+
+def untruthful_witness(ledger: RegretLedger) -> tuple[np.ndarray, np.ndarray, float]:
+    """An argmax deviation (psi, phi) achieving the untruthful swap regret,
+    up to float dust.
+
+    Reports break ties toward the lowest ordinal within float dust
+    (``first_near_max``), actions via first-occurrence argmax.
     """
     best_a = ledger.cross.argmax(axis=2)                # (K, K', M_a')
-    per_report = ledger.cross.max(axis=2).sum(axis=2)   # (K, K')
-    psi = per_report.argmax(axis=1)
+    per_report = ledger.cross.max(axis=2).sum(axis=2)   # (K, K'), sums of entries >= 0
+    psi = first_near_max(per_report, per_report)
     k = psi.size
     phi = best_a[np.arange(k), psi, :]
     value = float(per_report.max(axis=1).sum()) - ledger.alg_reward

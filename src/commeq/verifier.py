@@ -18,6 +18,7 @@ from .errors import AuditError, BadInput, SupportTooLarge
 from .game import (BayesianGame, MixtureDistribution, StrategyDistribution,
                    decode_strategy_profile, expected_rewards, mixture_to_tabular, reward_axes,
                    strategy_space_size)
+from .regret import first_near_max
 from .simplexlp import solve_equality_feasibility
 
 DEFAULT_LP_CAP = 10**4
@@ -34,6 +35,7 @@ class DeviationGainTensor:
     player: int
     gains: np.ndarray        # (K, K, M, M)
     truthful: float
+    rho: np.ndarray          # (K,) the player's type marginal
 
     def replay(self, psi, phi) -> float:
         """Deviation value minus truthful value for a concrete (psi, phi)."""
@@ -43,7 +45,7 @@ class DeviationGainTensor:
         value = 0.0
         for theta in range(k):
             for b in range(m):
-                value += self.gains[theta, psi[theta], b, phi[theta, b]]
+                value += self.rho[theta] * self.gains[theta, psi[theta], b, phi[theta, b]]
         return value - self.truthful
 
 
@@ -96,7 +98,7 @@ def deviation_tensor(game: BayesianGame, i: int, dist,
     gains = flat.reshape(k, m, k, m).transpose(0, 2, 3, 1)    # flat is ((theta, a), (theta', b))
     rho = game.prior.marginals[i]
     truthful = float((rho * np.einsum("iibb->ib", gains).sum(axis=1)).sum())
-    return DeviationGainTensor(i, gains, truthful)
+    return DeviationGainTensor(i, gains, truthful, rho)
 
 
 def _certify(klass, gains_witnesses, representable=None, product_gap=None):
@@ -111,10 +113,10 @@ def comm_eq_epsilon(game: BayesianGame, dist, cap: int = DEFAULT_ENUM_CAP
     devs = []
     for i in range(game.n):
         tensor = deviation_tensor(game, i, dist, cap)
-        rho = game.prior.marginals[i]
-        weighted = rho[:, None, None, None] * tensor.gains
-        per_report = weighted.max(axis=3).sum(axis=2)     # (K, K')
-        psi = per_report.argmax(axis=1)
+        weighted = tensor.rho[:, None, None, None] * tensor.gains
+        best = weighted.max(axis=3)
+        per_report = best.sum(axis=2)                     # (K, K')
+        psi = first_near_max(per_report, np.abs(best).sum(axis=2))
         k = psi.size
         phi = weighted.argmax(axis=3)[np.arange(k), psi, :]
         gain = float(per_report.max(axis=1).sum()) - tensor.truthful
@@ -134,9 +136,8 @@ def anf_bs_epsilon(game: BayesianGame, dist, cap: int = DEFAULT_ENUM_CAP,
     devs = []
     for i in range(game.n):
         tensor = deviation_tensor(game, i, dist, cap)
-        rho = game.prior.marginals[i]
         diag = np.einsum("iiba->iba", tensor.gains)       # (K, M_b, M_a)
-        weighted = rho[:, None, None] * diag
+        weighted = tensor.rho[:, None, None] * diag
         phi = weighted.argmax(axis=2)
         gain = float(weighted.max(axis=2).sum()) - tensor.truthful
         devs.append(PlayerDeviation(i, gain, {"phi": phi.tolist()}))
@@ -195,11 +196,10 @@ def coarse_epsilon(game: BayesianGame, dist, klass: str,
         devs = []
         for i in range(game.n):
             tensor = deviation_tensor(game, i, dist, cap)
-            rho = game.prior.marginals[i]
             diag = np.einsum("iiba->iba", tensor.gains)
             dev_value = diag.sum(axis=1)                   # (K, M_dev)
             truthful_by_type = np.einsum("ibb->ib", diag).sum(axis=1)
-            gains = rho[:, None] * (dev_value - truthful_by_type[:, None])
+            gains = tensor.rho[:, None] * (dev_value - truthful_by_type[:, None])
             devs.append(PlayerDeviation(i, *_joint_coarse(gains)))
         return _certify("coarse-bs", devs)
     if klass not in ("sfcce", "anfcce", "sfce"):

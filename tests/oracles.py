@@ -386,3 +386,140 @@ def reference_deviation_gains(game, i, dist):
     pi = np.moveaxis(np.moveaxis(np.asarray(dist, dtype=float), i, 0), game.n + i, game.n)
     pi = pi.reshape(nt[i], v.shape[2], na[i], v.shape[3])   # (K_j', O, M_b, P)
     return np.einsum("io,jobp,iaop->ijba", cond, pi, v, optimize=True)
+
+
+# ---------------------------------------------------------------------------
+# the learners with their doubling bank laid out decision axis last (weights
+# and rewards shape + (d,)), the reference for the library's decision-axis-
+# first bank; they share the library's warm-started fixed point, which the
+# layout does not touch
+
+def _softmax_last(logw):
+    z = logw - logw.max(axis=-1, keepdims=True)
+    w = np.exp(z)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+class ReferenceBank:
+    """Doubling-trick MWU learners indexed by ``shape``, rewards ``shape + (d,)``."""
+
+    def __init__(self, shape, d, ranges):
+        self.d = d
+        self.ranges = np.broadcast_to(np.asarray(ranges, dtype=float), shape).copy()
+        self.live = self.ranges > 0
+        self.logw = np.zeros(shape + (d,))
+        self.epoch_cum = np.zeros(shape + (d,))
+        self.budget = np.full(shape, math.log(d) if d > 1 else 0.0)
+        self.eta = np.ones(shape) if d > 1 else np.zeros(shape)
+
+    def decisions(self):
+        return _softmax_last(self.logw)
+
+    def update(self, rewards):
+        if self.d <= 1:
+            return
+        rn = np.where(self.live[..., None], rewards, 0.0)
+        rn = np.divide(rn, self.ranges[..., None], out=rn, where=self.live[..., None])
+        self.logw += self.eta[..., None] * rn
+        self.epoch_cum += rn
+        burst = self.epoch_cum.max(axis=-1) > self.budget
+        if burst.any():
+            self.budget[burst] *= 2.0
+            self.eta[burst] = np.sqrt(math.log(self.d) / self.budget[burst])
+            self.logw[burst] = 0.0
+            self.epoch_cum[burst] = 0.0
+
+
+class ReferenceUntruthfulLearner:
+    def __init__(self, prior_row, num_actions, horizon):
+        from commeq.learners import LEARNER_FP_TOL, fixed_rate_eta
+        self.rho = np.asarray(prior_row, dtype=float)
+        self.K, self.M = self.rho.size, num_actions
+        self.fp_tol = LEARNER_FP_TOL
+        self.eta_type = fixed_rate_eta(self.K, horizon)
+        self.logw = np.zeros((self.K, self.K))
+        self.bank = ReferenceBank((self.K, self.K, self.M), self.M, self.rho[:, None, None])
+        self.y = self.bank.decisions()        # (K, K, M_a', M_a)
+        self.x = np.full((self.K, self.M), 1.0 / self.M)
+
+    def step(self, prev_reward=None):
+        from commeq.learners import _hot_fixed_point
+        if prev_reward is not None:
+            ubar = self.rho[:, None] * np.asarray(prev_reward, dtype=float)
+            split = self.x[None, :, :, None] * ubar[:, None, None, :]
+            self.bank.update(split)
+            z = (self.y * split).sum(axis=(2, 3))
+            if self.K > 1:
+                zn = np.where(self.rho[:, None] > 0, z, 0.0)
+                zn = np.divide(zn, self.rho[:, None], out=zn, where=self.rho[:, None] > 0)
+                self.logw += self.eta_type * zn
+        w = _softmax_last(self.logw)
+        self.y = self.bank.decisions()
+        q4 = w[:, None, :, None] * self.y.transpose(0, 3, 1, 2)
+        dense = q4.reshape(self.K * self.M, self.K * self.M)
+        x = _hot_fixed_point(dense, self.x.reshape(-1), self.fp_tol, (self.K, self.M))
+        self.x = x.reshape(self.K, self.M)
+        return self.x.copy()
+
+
+class ReferenceSwapLearner:
+    def __init__(self, num_actions, reward_range=1.0):
+        from commeq.learners import LEARNER_FP_TOL
+        self.M, self.fp_tol = num_actions, LEARNER_FP_TOL
+        self.bank = ReferenceBank((1, 1, self.M), self.M,
+                                  np.asarray([reward_range])[:, None, None])
+        self.p = np.full(self.M, 1.0 / self.M)
+
+    def step(self, prev_reward=None):
+        from commeq.learners import _hot_fixed_point
+        if prev_reward is not None:
+            u = np.asarray(prev_reward, dtype=float)
+            self.bank.update(self.p[None, None, :, None] * u[None, None, None, :])
+        y = self.bank.decisions()
+        dense = (1.0 * y.transpose(0, 3, 1, 2)).reshape(self.M, self.M)
+        self.p = _hot_fixed_point(dense, self.p, self.fp_tol, (1, self.M))
+        return self.p.copy()
+
+
+class ReferenceTypewiseLearner:
+    def __init__(self, prior_row, num_actions):
+        self.rho = np.asarray(prior_row, dtype=float)
+        self.per_type = [ReferenceSwapLearner(num_actions, float(r)) for r in self.rho]
+
+    def step(self, prev_reward=None):
+        rows = []
+        for theta, learner in enumerate(self.per_type):
+            fed = None
+            if prev_reward is not None:
+                fed = self.rho[theta] * np.asarray(prev_reward[theta], dtype=float)
+            rows.append(learner.step(fed))
+        return np.stack(rows)
+
+
+class ReferenceStrategyLearner:
+    def __init__(self, num_types, num_actions, cap=4096):
+        from commeq.game import strategy_table
+        from commeq.learners import LEARNER_FP_TOL
+        self.K, self.M, self.fp_tol = num_types, num_actions, LEARNER_FP_TOL
+        self.S = self.M ** self.K
+        self.table = strategy_table(self.K, self.M)
+        self.bank = ReferenceBank((self.S, self.K), self.M, np.ones((self.S, self.K)))
+        self.sigma = np.full(self.S, 1.0 / self.S)
+
+    def step(self, prev_reward=None):
+        from commeq.learners import _hot_fixed_point
+        if prev_reward is not None:
+            u = np.asarray(prev_reward, dtype=float)
+            self.bank.update(self.sigma[:, None, None] * u[None, :, :])
+        z = self.bank.decisions()                       # (S, K, M)
+        p = np.ones((self.S, self.S))
+        for theta in range(self.K):
+            p *= z[:, theta, self.table[:, theta]].T
+        self.sigma = _hot_fixed_point(p, self.sigma, self.fp_tol, (1, self.S))
+        return self.sigma.copy()
+
+    def policy_marginal(self):
+        out = np.zeros((self.K, self.M))
+        for theta in range(self.K):
+            np.add.at(out[theta], self.table[:, theta], self.sigma)
+        return out

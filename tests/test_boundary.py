@@ -7,12 +7,14 @@ import os
 import numpy as np
 import pytest
 
-from commeq import cli, fixtures
+from commeq import cli, errors, fixtures
 from commeq.cli import main
 from commeq.dynamics import DynamicsConfig, run_dynamics
-from commeq.errors import BadInput
+from commeq.errors import BadInput, RewardOutOfRange
 from commeq.game import (SUM_TOL_DERIVED, StrategyDistribution, PriorModel, game_to_json_dict,
                          load_game, validate_game)
+from commeq.learners import (DoublingMwu, MwuLearner, StrategySwapLearner, SwapRegretLearner,
+                             TypewiseSwapLearner, UntruthfulSwapLearner, _DoublingBank)
 from commeq.poa import SmoothnessSpec, smoothness_frontier
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -201,3 +203,66 @@ def test_non_finite_smoothness_spec_is_bad_input(tmp_path, capsys, field, value)
                  write_json(tmp_path / "spec.json", doc)])
     err = capsys.readouterr().err
     assert code == 1 and "lambda" in err
+
+
+# (make learner, feed one reward, reward shape) for every reward entry point
+REWARD_FEEDS = {
+    "mwu": (lambda: MwuLearner(3, horizon=10), "update", (3,)),
+    "doubling": (lambda: DoublingMwu(3), "update", (3,)),
+    "bank": (lambda: _DoublingBank((2,), 3, 1.0), "update", (3, 2)),
+    "swap": (lambda: SwapRegretLearner(3), "step", (3,)),
+    "typewise": (lambda: TypewiseSwapLearner([0.001, 0.999], 3), "step", (2, 3)),
+    "untruthful": (lambda: UntruthfulSwapLearner([0.5, 0.5], 3, 10), "step", (2, 3)),
+    "strategy": (lambda: StrategySwapLearner(2, 3), "step", (2, 3)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1 + 1e-6, -1e-6])
+@pytest.mark.parametrize("name", sorted(REWARD_FEEDS))
+def test_learners_reject_non_finite_and_out_of_range_rewards(name, bad):
+    make, method, shape = REWARD_FEEDS[name]
+    learner = make()
+    reward = np.full(shape, 0.25)
+    reward.flat[-1] = bad
+    with pytest.raises(RewardOutOfRange):
+        getattr(learner, method)(reward)
+
+
+@pytest.mark.parametrize("name", ["swap", "typewise"])
+def test_swap_learners_reject_misshapen_rewards(name):
+    make, method, shape = REWARD_FEEDS[name]
+    learner = make()
+    learner.step(None)
+    with pytest.raises(BadInput):
+        learner.step(np.full((2, 2), 0.25))
+
+
+# the README's exit-code table; a new error class without an entry fails
+EXIT_CODES = {
+    "BadInput": 1, "ZeroMassType": 1, "NotStochastic": 1, "RewardOutOfRange": 1,
+    "BadDims": 1, "AssumptionViolated": 1,
+    "SupportTooLarge": 2, "EnumerationTooLarge": 2,
+    "NotAnEquilibrium": 4,
+    "AuditError": 3, "NoConvergence": 3, "NotValidOnX": 3, "NotShiftable": 3,
+    "NumericallyAmbiguous": 3,
+}
+
+
+def _error_classes(cls=errors.CommeqError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("cls", list(_error_classes()), ids=lambda c: c.__name__)
+def test_every_error_class_has_its_exit_code(cls, capsys, monkeypatch):
+    exc = cls(7, 0.5) if cls is errors.NoConvergence else cls("boom")
+
+    def raising(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_adversary", raising)
+    code = main(["adversary"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CODES[cls.__name__]
+    prefix = "internal error: " if code == 3 else "error: "
+    assert err == f"{prefix}{exc}\n"

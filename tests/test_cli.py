@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -177,3 +179,22 @@ def test_sampled_mode_cli(tmp_path, capsys):
                  "--reward", "sampled", "--eps", "0.5", "--delta", "0.2",
                  "--seed", "2", "--out-dir", str(out)])
     assert code == 0
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    """``python -m commeq`` from a checkout, with only ``src`` on the path."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "commeq", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+    usage = run("--help")
+    assert usage.returncode == 0 and "simulate" in usage.stdout
+    out = tmp_path / "out"
+    sim = run("simulate", fx("matching_game.json"), "-T", "20", "--out-dir", str(out))
+    assert sim.returncode == 0, sim.stderr
+    assert json.loads(sim.stdout)["out_dir"] == str(out)
+    assert main(["simulate", fx("matching_game.json"), "-T", "20",
+                 "--out-dir", str(tmp_path / "lib")]) == 0
+    for name in ("regret.csv", "equilibrium.json", "certificate.txt"):
+        assert read(out / name) == read(tmp_path / "lib" / name)

@@ -1,22 +1,27 @@
 """The vectorised kernels against the straight-line references in oracles.py,
 on random tiny games."""
 
+import math
 import os
 
 import numpy as np
 import pytest
 
-from commeq import dynamics, game as game_module
+from commeq import adversary, dynamics, game as game_module
 from commeq.dynamics import DynamicsConfig, exact_reward, run_dynamics
 from commeq.errors import EnumerationTooLarge
 from commeq.game import (BayesianGame, MixtureDistribution, PriorModel,
                          StrategyDistribution, load_game, mixture_eval, mixture_to_tabular,
                          strategy_space_size)
+from commeq.learners import StrategySwapLearner, TypewiseSwapLearner, UntruthfulSwapLearner
 from commeq.poa import (QuasilinearGame, SmoothnessSpec, check_smoothness,
                         smoothness_frontier)
+from commeq.regret import RegretLedger, accumulate, typewise_regret, untruthful_regret
 from commeq.verifier import _profile_matrix, coarse_epsilon, deviation_tensor, sfce_epsilon
 
-from .oracles import (reference_deviation_gains, reference_exact_reward, reference_max_lambda,
+from .oracles import (ReferenceStrategyLearner, ReferenceTypewiseLearner,
+                      ReferenceUntruthfulLearner, reference_deviation_gains,
+                      reference_exact_reward, reference_max_lambda,
                       reference_representability_matrix, reference_sigma_classes,
                       reference_smoothness)
 
@@ -242,3 +247,78 @@ def test_dynamics_with_reference_oracle_agree(monkeypatch, name):
         assert abs(fast.certificate - slow.certificate) <= 1e-12
         for a, b in zip(fast.mixture.policies, slow.mixture.policies):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+
+# The learners' decision-axis-first bank against the decision-axis-last
+# reference.  Entrywise arithmetic is unchanged; summation orders differ in
+# the untruthful learner's collapse z, in the bank's softmax for d >= 8 (numpy
+# sums a trailing axis of 8 or more pairwise) and in the swap learner's
+# matrix-vector products (its transform was column-major, now row-major).
+LEARNER_ROUNDS = 2000
+LEARNER_DIMS = ((3, 1), (4, 2), (3, 3), (2, 8), (1, 9))     # (types, actions)
+
+
+def _learner_pair(kind, rho, m):
+    k = rho.size
+    if kind == "untruthful":
+        return (UntruthfulSwapLearner(rho, m, LEARNER_ROUNDS),
+                ReferenceUntruthfulLearner(rho, m, LEARNER_ROUNDS))
+    if kind == "typewise":
+        return TypewiseSwapLearner(rho, m), ReferenceTypewiseLearner(rho, m)
+    return StrategySwapLearner(k, m), ReferenceStrategyLearner(k, m)
+
+
+def _played(kind, learner, out):
+    return learner.policy_marginal() if kind == "strategy-swap" else out
+
+
+@pytest.mark.parametrize("kind", dynamics.LEARNER_KINDS)
+@pytest.mark.parametrize("k, m", LEARNER_DIMS)
+def test_learners_match_decision_axis_last_reference(kind, k, m):
+    """Seeded streams with a zero-mass type (when k > 1); one action pays 1
+    in every other round, so the experts' in-epoch sums keep crossing their
+    budgets and the doubling restarts fire throughout."""
+    rng = np.random.default_rng(1000 * k + m)
+    rho = rng.random(k) + 0.1
+    rho[k - 1] = 0.0 if k > 1 else rho[k - 1]
+    rho /= rho.sum()
+    stream = rng.random((LEARNER_ROUNDS, k, m))
+    stream[::2, :, int(rng.integers(m))] = 1.0
+    new, ref = _learner_pair(kind, rho, m)
+    ledgers = (RegretLedger.create(rho, m), RegretLedger.create(rho, m))
+    prev = None
+    for u in stream:
+        got, want = new.step(prev), ref.step(prev)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        accumulate(ledgers[0], _played(kind, new, got), u)
+        accumulate(ledgers[1], _played(kind, ref, want), u)
+        prev = u
+    for regret in (untruthful_regret, typewise_regret):
+        assert abs(regret(ledgers[0]) - regret(ledgers[1])) <= 1e-9
+    banks = [lr.bank for lr in getattr(new, "per_type", [new])]
+    restarts = sum(int((b.budget > math.log(m)).sum()) for b in banks)
+    assert restarts > 0 or m == 1
+
+
+def test_adversary_regret_matches_reference_bit_for_bit(monkeypatch):
+    inst = adversary.build_instance(4, 4000, 1)
+    fast = adversary.run_experiment(inst, "untruthful")
+    monkeypatch.setattr(adversary, "UntruthfulSwapLearner", ReferenceUntruthfulLearner)
+    slow = adversary.run_experiment(inst, "untruthful")
+    assert fast.to_json_dict() == slow.to_json_dict()
+
+
+@pytest.mark.parametrize("kind", dynamics.LEARNER_KINDS)
+def test_dynamics_with_reference_learners_agree(monkeypatch, kind):
+    game = load_game(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                                  "first_price_auction.json"))
+    config = DynamicsConfig(horizon=300, learners=kind)
+    fast = run_dynamics(game, config)
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "UntruthfulSwapLearner", ReferenceUntruthfulLearner)
+        patch.setattr(dynamics, "TypewiseSwapLearner", ReferenceTypewiseLearner)
+        patch.setattr(dynamics, "StrategySwapLearner", ReferenceStrategyLearner)
+        slow = run_dynamics(game, config)
+    assert abs(fast.certificate - slow.certificate) <= 1e-12
+    for a, b in zip(fast.mixture.policies, slow.mixture.policies):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)

@@ -248,3 +248,21 @@ def test_negative_regret_slack_grows_with_the_horizon():
         for check in (untruthful_regret, typewise_regret, audit_ledger):
             with pytest.raises(AuditError):
                 check(inflated)
+
+
+def test_untruthful_witness_is_stable_under_float_dust():
+    """Policies that ignore the type make every report tie: psi is the lowest
+    report under any one-ulp change of the cross tensor."""
+    rng = np.random.default_rng(6)
+    rho = np.array([0.2, 0.5, 0.3])
+    ledger = RegretLedger.create(rho, 3)
+    for _ in range(25):
+        accumulate(ledger, np.repeat(rng.dirichlet(np.ones(3))[None], 3, axis=0),
+                   rng.random((3, 3)))
+    for seed in range(20):
+        dusty = ledger.copy()
+        step = np.random.default_rng(seed).random(dusty.cross.shape) < 0.5
+        dusty.cross = np.nextafter(dusty.cross, np.where(step, -np.inf, np.inf))
+        psi, _, value = untruthful_witness(dusty)
+        assert psi.tolist() == [0, 0, 0]
+        assert value == pytest.approx(untruthful_regret(dusty), abs=1e-12)

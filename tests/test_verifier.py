@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from commeq import fixtures
+from commeq import fixtures, verifier
 from commeq.errors import SupportTooLarge
-from commeq.game import (BayesianGame, PriorModel, StrategyDistribution,
+from commeq.game import (BayesianGame, MixtureDistribution, PriorModel, StrategyDistribution,
                          mixture_to_tabular, strategy_to_mixture)
 from commeq.verifier import (anf_bs_epsilon, bne_epsilon, coarse_epsilon,
                              comm_eq_epsilon, conditional_independence,
@@ -302,3 +304,33 @@ def test_ci_fails_when_action_copies_other_type():
     ok, witness = conditional_independence(prior, pi)
     assert not ok
     assert witness[0] == 0
+
+
+def nudge_one_ulp(values, rng):
+    """Each entry moved one ulp (about 1e-16 relative) up or down at random."""
+    return np.nextafter(values, np.where(rng.random(values.shape) < 0.5, -np.inf, np.inf))
+
+
+def test_comm_witness_is_stable_under_float_dust(monkeypatch):
+    """Policies that ignore the type make every report tie: psi is the lowest
+    report under any one-ulp change of the gains, and the witness still
+    replays to the gain."""
+    game = fixtures.first_price_auction().base
+    rng = np.random.default_rng(8)
+    policies = [np.repeat(rng.dirichlet(np.ones(m), size=(4, 1)), k, axis=1)
+                for k, m in zip(game.num_types, game.num_actions)]
+    mix = MixtureDistribution.from_stacked(np.full(4, 0.25), policies)
+    exact = verifier.deviation_tensor
+    for seed in range(20):
+        nudged = []
+
+        def dusty(*args, rng=np.random.default_rng(seed)):
+            tensor = exact(*args)
+            nudged.append(dataclasses.replace(tensor, gains=nudge_one_ulp(tensor.gains, rng)))
+            return nudged[-1]
+        monkeypatch.setattr(verifier, "deviation_tensor", dusty)
+        cert = comm_eq_epsilon(game, mix)
+        for dev, tensor in zip(cert.per_player, nudged):
+            assert dev.witness["psi"] == [0] * game.num_types[dev.player]
+            replay = tensor.replay(dev.witness["psi"], dev.witness["phi"])
+            assert abs(replay - dev.gain) <= verifier.WITNESS_TOL
