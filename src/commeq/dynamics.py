@@ -85,26 +85,42 @@ def sampled_reward(game: BayesianGame, i: int, policies, epsilon: float, delta: 
                    rng: np.random.Generator, horizon: int) -> np.ndarray:
     """Monte-Carlo estimate of exact_reward; each entry averages its full sample
     budget, so it lands within epsilon/4 of the exact value except with the
-    per-entry failure probability the budget was sized for."""
+    per-entry failure probability the budget was sized for.
+
+    Per type of player i: one ``rng.choice`` draws the opponents' types, then
+    one ``rng.random`` per opponent draws its action by inverse CDF.  Every
+    step works on whole sample vectors, so a type costs
+    O(samples x (sum_j |A_j| + |A_i|)) and no (samples, |A|) array is built.
+    """
     nt, na = game.num_types, game.num_actions
     max_ta = max(k * m for k, m in zip(nt, na))
     n_samples = sample_count(epsilon, delta, game.n, horizon, max_ta)
     others = [j for j in range(game.n) if j != i]
     other_dims = [nt[j] for j in others]
     cond = game.prior.conditional_matrix(i)
-    v = game.payoff_from_own_view(i)    # (K_i, M_i, T_-i, A_-i)
+    cells = game.payoff_from_own_view(i).reshape(nt[i], na[i], -1)   # (K_i, M_i, T_-i A_-i)
+    # thresholds[pos][b, theta_j] = P(a_j <= b | theta_j) for b < M_j - 1.  The
+    # policies are nonnegative, so the thresholds below a uniform draw form a
+    # prefix and their count is the drawn action, capped at the last one.
+    thresholds = [np.cumsum(np.asarray(policies[j], dtype=float), axis=1)[:, :-1].T.copy()
+                  for j in others]
     out = np.empty((nt[i], na[i]))
     for theta in range(nt[i]):
-        flat_types = rng.choice(cond.shape[1], size=n_samples, p=cond[theta])
-        type_idx = np.unravel_index(flat_types, other_dims) if others else ()
-        flat_actions = np.zeros(n_samples, dtype=np.int64)
+        flat = rng.choice(cond.shape[1], size=n_samples, p=cond[theta])
+        type_idx = np.unravel_index(flat, other_dims) if len(others) > 1 else (flat,)
         for pos, j in enumerate(others):
-            pj = np.asarray(policies[j], dtype=float)
-            rows = pj[type_idx[pos]]
-            draws = (rows.cumsum(axis=1) < rng.random(n_samples)[:, None]).sum(axis=1)
-            draws = np.minimum(draws, pj.shape[1] - 1)
-            flat_actions = flat_actions * pj.shape[1] + draws
-        out[theta] = v[theta, :, flat_types, flat_actions].mean(axis=0)
+            u = rng.random(n_samples)
+            flat = flat * na[j]                 # cell index (theta_-i, a_-i), Horner order
+            for row in thresholds[pos]:
+                flat += row.take(type_idx[pos]) < u
+        payoffs = cells[theta].take(flat, axis=1)                    # (M_i, samples)
+        # the sums of numpy's mean over the sample axis of a (samples, M_i)
+        # array: in draw order per action, or pairwise when M_i == 1
+        if na[i] > 1:
+            total = np.cumsum(payoffs, axis=1, out=payoffs)[:, -1]
+        else:
+            total = payoffs.sum(axis=1)
+        out[theta] = total / n_samples
     return out
 
 
@@ -147,7 +163,10 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
     curve_rows: list[list[float]] = []
     prev_u: list[np.ndarray | None] = [None] * game.n
 
-    pool = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
+    # exact rewards make numpy calls too small to release the interpreter lock
+    # for long, so a pool would only add hand-offs there
+    pooled = config.threads > 1 and config.reward_mode == "sampled"
+    pool = ThreadPoolExecutor(max_workers=config.threads) if pooled else None
     try:
         for t in range(1, t_max + 1):
             def decide(i: int) -> np.ndarray:

@@ -106,26 +106,28 @@ def external_regret(ledger: RegretLedger) -> float:
 
 
 def first_near_max(values: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
-    """Per row, the lowest index whose value is at least the row maximum minus
-    TIE_ULPS ulps of the row's largest ``magnitude`` (the summed absolute
-    terms behind each value).  A plain argmax flips between entries that tie
-    up to float dust whenever a summation order changes."""
-    slack = TIE_ULPS * EPS * magnitude.max(axis=1, keepdims=True)
-    return (values >= values.max(axis=1, keepdims=True) - slack).argmax(axis=1)
+    """Along the last axis, the lowest index whose value is at least the
+    maximum minus TIE_ULPS ulps of the largest ``magnitude`` (the summed
+    absolute terms behind each value) on that axis.  A plain argmax flips
+    between entries that tie up to float dust whenever a summation order
+    changes."""
+    slack = TIE_ULPS * EPS * magnitude.max(axis=-1, keepdims=True)
+    return (values >= values.max(axis=-1, keepdims=True) - slack).argmax(axis=-1)
 
 
 def untruthful_witness(ledger: RegretLedger) -> tuple[np.ndarray, np.ndarray, float]:
     """An argmax deviation (psi, phi) achieving the untruthful swap regret,
     up to float dust.
 
-    Reports break ties toward the lowest ordinal within float dust
-    (``first_near_max``), actions via first-occurrence argmax.
+    Reports and actions both break ties toward the lowest ordinal within
+    float dust (``first_near_max``); the cross entries are sums of
+    nonnegative terms, so each is its own magnitude.
     """
-    best_a = ledger.cross.argmax(axis=2)                # (K, K', M_a')
     per_report = ledger.cross.max(axis=2).sum(axis=2)   # (K, K'), sums of entries >= 0
     psi = first_near_max(per_report, per_report)
     k = psi.size
-    phi = best_a[np.arange(k), psi, :]
+    chosen = ledger.cross[np.arange(k), psi].transpose(0, 2, 1)     # (K, M_a', M_a)
+    phi = first_near_max(chosen, chosen)
     value = float(per_report.max(axis=1).sum()) - ledger.alg_reward
     return psi, phi, value
 

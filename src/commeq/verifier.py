@@ -117,8 +117,8 @@ def comm_eq_epsilon(game: BayesianGame, dist, cap: int = DEFAULT_ENUM_CAP
         best = weighted.max(axis=3)
         per_report = best.sum(axis=2)                     # (K, K')
         psi = first_near_max(per_report, np.abs(best).sum(axis=2))
-        k = psi.size
-        phi = weighted.argmax(axis=3)[np.arange(k), psi, :]
+        chosen = weighted[np.arange(psi.size), psi]       # (K, M_b, M_a)
+        phi = first_near_max(chosen, np.abs(chosen))
         gain = float(per_report.max(axis=1).sum()) - tensor.truthful
         devs.append(PlayerDeviation(i, gain, {"psi": psi.tolist(), "phi": phi.tolist()}))
     return _certify("comm", devs)
@@ -138,7 +138,7 @@ def anf_bs_epsilon(game: BayesianGame, dist, cap: int = DEFAULT_ENUM_CAP,
         tensor = deviation_tensor(game, i, dist, cap)
         diag = np.einsum("iiba->iba", tensor.gains)       # (K, M_b, M_a)
         weighted = tensor.rho[:, None, None] * diag
-        phi = weighted.argmax(axis=2)
+        phi = first_near_max(weighted, np.abs(weighted))
         gain = float(weighted.max(axis=2).sum()) - tensor.truthful
         devs.append(PlayerDeviation(i, gain, {"phi": phi.tolist()}))
     representable = None
@@ -200,7 +200,9 @@ def coarse_epsilon(game: BayesianGame, dist, klass: str,
             dev_value = diag.sum(axis=1)                   # (K, M_dev)
             truthful_by_type = np.einsum("ibb->ib", diag).sum(axis=1)
             gains = tensor.rho[:, None] * (dev_value - truthful_by_type[:, None])
-            devs.append(PlayerDeviation(i, *_joint_coarse(gains)))
+            magnitude = tensor.rho[:, None] * (np.abs(diag).sum(axis=1)
+                                               + np.abs(truthful_by_type)[:, None])
+            devs.append(PlayerDeviation(i, *_joint_coarse(gains, magnitude)))
         return _certify("coarse-bs", devs)
     if klass not in ("sfcce", "anfcce", "sfce"):
         raise BadInput(f"unknown coarse class {klass!r}")
@@ -238,7 +240,8 @@ def _sigma_epsilon(game: BayesianGame, sigma: StrategyDistribution, klass: str,
         followed = r[t_idx, k_idx, rows[i]]                  # (T, K)
         if klass == "anfcce":
             gains = np.tensordot(w, r - followed[:, :, None], 1)
-            devs.append(PlayerDeviation(i, *_joint_coarse(gains)))
+            magnitude = np.tensordot(w, np.abs(r) + np.abs(followed)[:, :, None], 1)
+            devs.append(PlayerDeviation(i, *_joint_coarse(gains, magnitude)))
             continue
         # sfce swaps each recommended strategy for its own best strategy;
         # sfcce is the same with all of sigma as one group
@@ -270,15 +273,17 @@ def _strategy_class_tensor(game: BayesianGame, i: int, rows) -> np.ndarray:
     return (joint * played).sum(axis=3).transpose(2, 0, 1)
 
 
-def _joint_coarse(gains: np.ndarray) -> tuple[float, dict]:
+def _joint_coarse(gains: np.ndarray, magnitude: np.ndarray) -> tuple[float, dict]:
     """Aggregate per-(type, fixed action) gains into a joint coarse deviation.
 
     The deviator picks, per type, either a fixed action or following along, so
     the total advantage sums each type's positive part; this is what makes the
     per-type coarse class at least as demanding as full-strategy deviations.
+    Each type's action is the lowest within float dust of its best
+    (``magnitude`` bounds the summed absolute terms behind each gain).
     """
     best = gains.max(axis=1)
-    choice = gains.argmax(axis=1)
+    choice = first_near_max(gains, magnitude)
     witness = {"per_type_action": [int(choice[t]) if best[t] > 0 else None
                                    for t in range(gains.shape[0])]}
     return float(np.maximum(best, 0.0).sum()), witness

@@ -369,6 +369,33 @@ def reference_exact_reward(game, i, policies, cap=10**7):
     return np.einsum("io,op,iaop->ia", cond, opp, v, optimize=True)
 
 
+def reference_sampled_reward(game, i, policies, epsilon, delta, rng, horizon):
+    """The Monte-Carlo reward oracle drawing one (samples, M_j) row block per
+    opponent and averaging a (samples, M_i) payoff gather."""
+    from commeq.dynamics import sample_count
+
+    nt, na = game.num_types, game.num_actions
+    max_ta = max(k * m for k, m in zip(nt, na))
+    n_samples = sample_count(epsilon, delta, game.n, horizon, max_ta)
+    others = [j for j in range(game.n) if j != i]
+    other_dims = [nt[j] for j in others]
+    cond = game.prior.conditional_matrix(i)
+    v = game.payoff_from_own_view(i)    # (K_i, M_i, T_-i, A_-i)
+    out = np.empty((nt[i], na[i]))
+    for theta in range(nt[i]):
+        flat_types = rng.choice(cond.shape[1], size=n_samples, p=cond[theta])
+        type_idx = np.unravel_index(flat_types, other_dims) if others else ()
+        flat_actions = np.zeros(n_samples, dtype=np.int64)
+        for pos, j in enumerate(others):
+            pj = np.asarray(policies[j], dtype=float)
+            rows = pj[type_idx[pos]]
+            draws = (rows.cumsum(axis=1) < rng.random(n_samples)[:, None]).sum(axis=1)
+            draws = np.minimum(draws, pj.shape[1] - 1)
+            flat_actions = flat_actions * pj.shape[1] + draws
+        out[theta] = v[theta, :, flat_types, flat_actions].mean(axis=0)
+    return out
+
+
 def reference_deviation_gains(game, i, dist):
     """G[theta, theta', a', a] by einsum over the full opponent table (mixtures)
     or the reshaped distribution (tabular arrays)."""

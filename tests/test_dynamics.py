@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from commeq import fixtures
+from commeq import dynamics, fixtures
 from commeq.dynamics import (DynamicsConfig, empirical_distribution, exact_reward,
                              run_dynamics, sample_count, sampled_reward,
                              _round_rng)
@@ -125,6 +125,23 @@ def test_run_determinism_and_threads():
         assert np.array_equal(a.curve, b.curve)
         for pa, pb in zip(a.mixture.policies, b.mixture.policies):
             assert np.array_equal(pa, pb)
+
+
+def test_only_sampled_rewards_build_a_thread_pool(monkeypatch):
+    """Exact rewards run inline at any --threads; sampled ones use the pool."""
+    built = []
+
+    class CountingPool(dynamics.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(dynamics, "ThreadPoolExecutor", CountingPool)
+    game = fixtures.matching_game()
+    run_dynamics(game, DynamicsConfig(horizon=5, threads=2))
+    assert built == []
+    run_dynamics(game, DynamicsConfig(horizon=5, threads=2, reward_mode="sampled",
+                                      epsilon=0.5, delta=0.2))
+    assert built == [2]
 
 
 def test_sampled_run_determinism():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from commeq import adversary, dynamics, game as game_module
-from commeq.dynamics import DynamicsConfig, exact_reward, run_dynamics
+from commeq.dynamics import (DynamicsConfig, _round_rng, exact_reward, run_dynamics,
+                             sample_count, sampled_reward)
 from commeq.errors import EnumerationTooLarge
 from commeq.game import (BayesianGame, MixtureDistribution, PriorModel,
                          StrategyDistribution, load_game, mixture_eval, mixture_to_tabular,
@@ -22,8 +23,8 @@ from commeq.verifier import _profile_matrix, coarse_epsilon, deviation_tensor, s
 from .oracles import (ReferenceStrategyLearner, ReferenceTypewiseLearner,
                       ReferenceUntruthfulLearner, reference_deviation_gains,
                       reference_exact_reward, reference_max_lambda,
-                      reference_representability_matrix, reference_sigma_classes,
-                      reference_smoothness)
+                      reference_representability_matrix, reference_sampled_reward,
+                      reference_sigma_classes, reference_smoothness)
 
 GAMES = 60
 
@@ -247,6 +248,81 @@ def test_dynamics_with_reference_oracle_agree(monkeypatch, name):
         assert abs(fast.certificate - slow.certificate) <= 1e-12
         for a, b in zip(fast.mixture.policies, slow.mixture.policies):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+
+def _sparse_policies(rng, game):
+    """Random type-wise policies; about a third of the actions get probability 0."""
+    out = []
+    for k, m in zip(game.num_types, game.num_actions):
+        p = rng.random((k, m)) * (rng.random((k, m)) < 0.7)
+        p[np.arange(k), rng.integers(0, m, k)] += 0.1
+        out.append(p / p.sum(axis=1, keepdims=True))
+    return out
+
+
+def _sampled_pair(game, i, policies, eps, delta, seed, t, horizon):
+    """The oracle and its reference, each on a fresh (seed, player, round) stream."""
+    return tuple(oracle(game, i, policies, eps, delta, _round_rng(seed, i, t), horizon)
+                 for oracle in (sampled_reward, reference_sampled_reward))
+
+
+@pytest.mark.parametrize("name", GAME_FIXTURES)
+def test_sampled_reward_matches_reference_on_fixtures(name):
+    game = load_game(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                                  f"{name}.json"))
+    rng = np.random.default_rng(19)
+    for t in range(1, 4):
+        policies = _sparse_policies(rng, game)
+        for i in range(game.n):
+            got, want = _sampled_pair(game, i, policies, 0.1, 0.05, 7, t, 200)
+            assert np.array_equal(got, want), (name, i, t)
+
+
+def test_sampled_reward_matches_reference_bit_for_bit():
+    """1-3 players with one to three actions each, product and tabular priors
+    with zero-mass types, zero-probability actions and some policy rows
+    summing to slightly less than 1.  Sample counts run from about ten to
+    about a thousand, past numpy's eight-way and 128-element pairwise blocks,
+    so any change of summation order shows."""
+    rng = np.random.default_rng(23)
+    single = 0
+    for g in range(GAMES):
+        n = int(rng.integers(1, 4))
+        nt = tuple(int(k) for k in rng.integers(1, 4, n))
+        na = tuple(int(m) for m in rng.integers(1, 4, n))
+        prior = _random_prior(rng, nt, dyadic=False)
+        payoffs = [rng.random(nt + na) for _ in nt]
+        game = BayesianGame.create(_labels(nt, "t"), _labels(na, "a"), prior, payoffs)
+        policies = _sparse_policies(rng, game)
+        if g % 4 == 3:          # rows short of 1: draws past them take the last action
+            policies = [p * (1 - 2.0**-6) for p in policies]
+        eps = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
+        for i in range(n):
+            got, want = _sampled_pair(game, i, policies, eps, 0.1, g, 1 + g % 5, 50)
+            assert np.array_equal(got, want), (g, i)
+            max_ta = max(k * m for k, m in zip(nt, na))
+            single += na[i] == 1 and sample_count(eps, 0.1, n, 50, max_ta) > 128
+    assert single > 0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", GAME_FIXTURES)
+def test_sampled_dynamics_with_reference_oracle_identical(monkeypatch, name, threads):
+    game = load_game(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                                  f"{name}.json"))
+    config = DynamicsConfig(horizon=40, reward_mode="sampled", epsilon=0.2, seed=5,
+                            threads=threads)
+    fast = run_dynamics(game, config)
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "sampled_reward",
+                      lambda *args: calls.append(1) or reference_sampled_reward(*args))
+        slow = run_dynamics(game, config)
+    assert len(calls) == 40 * game.n
+    assert fast.certificate == slow.certificate
+    assert np.array_equal(fast.curve, slow.curve)
+    for a, b in zip(fast.mixture.policies, slow.mixture.policies):
+        assert np.array_equal(a, b)
 
 
 # The learners' decision-axis-first bank against the decision-axis-last

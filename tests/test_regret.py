@@ -266,3 +266,26 @@ def test_untruthful_witness_is_stable_under_float_dust():
         psi, _, value = untruthful_witness(dusty)
         assert psi.tolist() == [0, 0, 0]
         assert value == pytest.approx(untruthful_regret(dusty), abs=1e-12)
+
+
+def test_untruthful_witness_actions_are_stable_under_float_dust():
+    """Actions 0 and 1 always pay the same and beat action 2: phi is the lowest
+    action under any one-ulp change of the cross tensor, and the witness
+    replays to the regret."""
+    rng = np.random.default_rng(10)
+    rho = np.array([0.2, 0.5, 0.3])
+    ledger = RegretLedger.create(rho, 3)
+    for _ in range(25):
+        u = rng.uniform(0.0, 0.5, (3, 3))
+        u[:, 1] = u[:, 0] = rng.uniform(0.5, 1.0, 3)
+        accumulate(ledger, rng.dirichlet(np.ones(3), size=3), u)
+    for seed in range(20):
+        dusty = ledger.copy()
+        step = np.random.default_rng(seed).random(dusty.cross.shape) < 0.5
+        dusty.cross = np.nextafter(dusty.cross, np.where(step, -np.inf, np.inf))
+        psi, phi, value = untruthful_witness(dusty)
+        assert phi.tolist() == [[0, 0, 0]] * 3
+        replay = sum(dusty.cross[th, psi[th], phi[th, ap], ap]
+                     for th in range(3) for ap in range(3))
+        assert replay - dusty.alg_reward == pytest.approx(value, abs=1e-12)
+        assert value == pytest.approx(untruthful_regret(dusty), abs=1e-12)

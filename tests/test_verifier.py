@@ -334,3 +334,50 @@ def test_comm_witness_is_stable_under_float_dust(monkeypatch):
             assert dev.witness["psi"] == [0] * game.num_types[dev.player]
             replay = tensor.replay(dev.witness["psi"], dev.witness["phi"])
             assert abs(replay - dev.gain) <= verifier.WITNESS_TOL
+
+
+def tied_action_game(rng):
+    """Two players, 2 types and 3 actions each; actions 0 and 1 pay the same
+    and beat action 2, so every best action ties between 0 and 1."""
+    nt, na = (2, 2), (3, 3)
+    payoffs = []
+    for i in range(2):
+        v = rng.uniform(0.0, 0.5, nt + na)
+        own = np.moveaxis(v, 2 + i, 0)                   # a view, own action first
+        own[:2] = rng.uniform(0.5, 1.0, own.shape[1:])
+        payoffs.append(v)
+    prior = PriorModel.product([np.array([0.3, 0.7]), np.array([0.6, 0.4])])
+    labels = [[f"t{i}{k}" for k in range(2)] for i in range(2)]
+    actions = [[f"a{i}{m}" for m in range(3)] for i in range(2)]
+    return BayesianGame.create(labels, actions, prior, payoffs)
+
+
+def test_action_witnesses_are_stable_under_float_dust(monkeypatch):
+    """Best actions tie between 0 and 1: under any one-ulp change of the gains,
+    phi (comm, anf-bs) and per_type_action (coarse-bs) stay the lowest action,
+    and the comm and anf-bs witnesses still replay to the gain."""
+    rng = np.random.default_rng(9)
+    game = tied_action_game(rng)
+    mix = random_mixture(rng, game.num_types, game.num_actions, 4)
+    exact = verifier.deviation_tensor
+    for seed in range(20):
+        nudged = []
+
+        def dusty(*args, rng=np.random.default_rng(seed)):
+            tensor = exact(*args)
+            nudged.append(dataclasses.replace(tensor, gains=nudge_one_ulp(tensor.gains, rng)))
+            return nudged[-1]
+        monkeypatch.setattr(verifier, "deviation_tensor", dusty)
+        comm = comm_eq_epsilon(game, mix)
+        anf = anf_bs_epsilon(game, mix, check_representability=False)
+        coarse = coarse_epsilon(game, mix, "coarse-bs")
+        comm_tensors, anf_tensors = nudged[:2], nudged[2:4]
+        for i in range(game.n):
+            k, m = game.num_types[i], game.num_actions[i]
+            for cert, tensors, psi in ((comm, comm_tensors, comm.per_player[i].witness["psi"]),
+                                       (anf, anf_tensors, list(range(k)))):
+                dev = cert.per_player[i]
+                assert dev.witness["phi"] == [[0] * m] * k
+                replay = tensors[i].replay(psi, dev.witness["phi"])
+                assert abs(replay - dev.gain) <= verifier.WITNESS_TOL
+            assert coarse.per_player[i].witness["per_type_action"] == [0] * k
