@@ -14,9 +14,7 @@ from .game import (BayesianGame, MixtureDistribution, PriorModel,
 from .transforms import (DeviationPair, SwapTransform, assemble_transform,
                          deviation_to_transform, fixed_point, linear_to_transform)
 from .learners import (DoublingMwu, MwuLearner, StrategySwapLearner,
-                       TypewiseSwapLearner, UntruthfulSwapLearner,
-                       doubling_update, mwu_update, strategy_swap_step,
-                       typewise_step, untruthful_step)
+                       TypewiseSwapLearner, UntruthfulSwapLearner)
 from .regret import (RegretLedger, accumulate, external_regret, strategy_regret,
                      typewise_regret, untruthful_bound, untruthful_regret,
                      untruthful_witness)

@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import adversary as adv
-from .dynamics import (DynamicsConfig, run_dynamics, write_certificate_txt,
-                       write_equilibrium_json, write_regret_csv)
+from .dynamics import (DynamicsConfig, run_dynamics, sampling_fields,
+                       write_certificate_txt, write_equilibrium_json, write_regret_csv)
 from .errors import (BadInput, CommeqError, EnumerationTooLarge, NotAnEquilibrium,
                      SupportTooLarge)
 from .game import (SUM_TOL_DERIVED, BayesianGame, MixtureDistribution,
@@ -109,7 +109,8 @@ def cmd_simulate(args) -> int:
     write_regret_csv(os.path.join(args.out_dir, "regret.csv"), result.curve)
     write_equilibrium_json(os.path.join(args.out_dir, "equilibrium.json"), result)
     write_certificate_txt(os.path.join(args.out_dir, "certificate.txt"), result, game)
-    _print_json({"certificate": result.certificate, "out_dir": args.out_dir})
+    _print_json({"certificate": result.certificate, "out_dir": args.out_dir,
+                 **sampling_fields(result)})
     return EXIT_OK
 
 

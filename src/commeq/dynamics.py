@@ -65,6 +65,7 @@ class RunResult:
     curve: np.ndarray                   # rows: t, player, external, typewise, untruthful, bound
     horizon: int
     sigma_traces: list[np.ndarray | None] = field(default_factory=list)
+    sampling: tuple[float, float] | None = None     # sampled rewards: slack, confidence
 
 
 def exact_reward(game: BayesianGame, i: int, policies,
@@ -129,14 +130,39 @@ def _round_rng(seed: int, player: int, t: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _make_learner(kind: str, game: BayesianGame, i: int, config: DynamicsConfig):
-    nt, na = game.num_types[i], game.num_actions[i]
-    rho = game.prior.marginals[i]
-    if kind == "untruthful":
-        return UntruthfulSwapLearner(rho, na, config.horizon)
-    if kind == "typewise":
-        return TypewiseSwapLearner(rho, na)
-    return StrategySwapLearner(nt, na, cap=config.strategy_cap)
+@dataclass
+class _Group:
+    """Players stepped by one learner, with one stacked ledger entry each."""
+
+    kind: str
+    players: list[int]
+    learner: object
+    ledger: RegretLedger
+    played: np.ndarray | None = None       # this round's (B, K, M) policies
+    prev: np.ndarray | None = None         # the reward the learner is fed next
+    curve: tuple = ()                      # external, typewise, untruthful, bound
+
+
+def _make_groups(game: BayesianGame, kinds: tuple[str, ...],
+                 config: DynamicsConfig) -> list[_Group]:
+    """Untruthful players of equal (K, M) share one batched learner; every
+    other player steps a learner of its own."""
+    keys = [("untruthful", game.num_types[i], game.num_actions[i])
+            if kind == "untruthful" else i for i, kind in enumerate(kinds)]
+    groups = []
+    for key in dict.fromkeys(keys):                     # in order of first player
+        players = [i for i, other in enumerate(keys) if other == key]
+        first = players[0]
+        kind, nt, na = kinds[first], game.num_types[first], game.num_actions[first]
+        rows = np.stack([game.prior.marginals[i] for i in players])
+        if kind == "untruthful":
+            learner = UntruthfulSwapLearner(rows, na, config.horizon)
+        elif kind == "typewise":
+            learner = TypewiseSwapLearner(rows[0], na)
+        else:
+            learner = StrategySwapLearner(nt, na, cap=config.strategy_cap)
+        groups.append(_Group(kind, players, learner, RegretLedger.create(rows, na)))
+    return groups
 
 
 def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
@@ -152,16 +178,16 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
     if config.reward_mode == "sampled" and not (config.epsilon > 0 and 0 < config.delta < 1):
         raise BadInput("sampled rewards need eps > 0 and 0 < delta < 1")
     kinds = config.learner_kinds(game.n)
-    learners = [_make_learner(kinds[i], game, i, config) for i in range(game.n)]
-    ledgers = [RegretLedger.create(game.prior.marginals[i], game.num_actions[i])
-               for i in range(game.n)]
+    groups = _make_groups(game, kinds, config)
+    slot = {i: (g, b) for g in groups for b, i in enumerate(g.players)}
     policy_trace = [np.empty((t_max, game.num_types[i], game.num_actions[i]))
                     for i in range(game.n)]
-    sigma_traces: list[np.ndarray | None] = [
-        np.empty((t_max, learners[i].S)) if kinds[i] == "strategy-swap" else None
-        for i in range(game.n)]
+    sigma_traces: list[np.ndarray | None] = [None] * game.n
+    for g in groups:
+        if g.kind == "strategy-swap":
+            sigma_traces[g.players[0]] = np.empty((t_max, g.learner.S))
     curve_rows: list[list[float]] = []
-    prev_u: list[np.ndarray | None] = [None] * game.n
+    policies: list[np.ndarray | None] = [None] * game.n
 
     # exact rewards make numpy calls too small to release the interpreter lock
     # for long, so a pool would only add hand-offs there
@@ -169,16 +195,15 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
     pool = ThreadPoolExecutor(max_workers=config.threads) if pooled else None
     try:
         for t in range(1, t_max + 1):
-            def decide(i: int) -> np.ndarray:
-                out = learners[i].step(prev_u[i])
-                if kinds[i] == "strategy-swap":
-                    sigma_traces[i][t - 1] = out
-                    return learners[i].policy_marginal()
-                return out
-            if pool is None:
-                policies = [decide(i) for i in range(game.n)]
-            else:
-                policies = list(pool.map(decide, range(game.n)))
+            for g in groups:
+                out = g.learner.step(g.prev)
+                if g.kind == "strategy-swap":
+                    sigma_traces[g.players[0]][t - 1] = out
+                    out = g.learner.policy_marginal()
+                g.played = out if g.kind == "untruthful" else out[None]
+                for b, i in enumerate(g.players):
+                    policies[i] = g.played[b]
+                    policy_trace[i][t - 1] = g.played[b]
 
             def reward(i: int) -> np.ndarray:
                 if config.reward_mode == "sampled":
@@ -191,28 +216,35 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
             else:
                 rewards = list(pool.map(reward, range(game.n)))
 
-            for i in range(game.n):
-                policy_trace[i][t - 1] = policies[i]
-                accumulate(ledgers[i], policies[i], rewards[i])
-                prev_u[i] = rewards[i]
+            for g in groups:
+                u = np.stack([rewards[i] for i in g.players])
+                accumulate(g.ledger, g.played, u)
+                g.prev = u if g.kind == "untruthful" else u[0]
             if config.curve_stride and t % config.curve_stride == 0:
+                for g in groups:
+                    g.curve = (external_regret(g.ledger), typewise_regret(g.ledger),
+                               untruthful_regret(g.ledger),
+                               untruthful_bound(t, *g.played.shape[1:]))
                 for i in range(game.n):
-                    curve_rows.append([
-                        float(t), float(i),
-                        external_regret(ledgers[i]),
-                        typewise_regret(ledgers[i]),
-                        untruthful_regret(ledgers[i]),
-                        untruthful_bound(t, game.num_types[i], game.num_actions[i]),
-                    ])
+                    g, b = slot[i]
+                    ext, typ, unt, bound = g.curve
+                    curve_rows.append([float(t), float(i), ext[b], typ[b], unt[b], bound])
     finally:
         if pool is not None:
             pool.shutdown()
 
+    ledgers: list[RegretLedger] = [None] * game.n
+    for g in groups:
+        for i, ledger in zip(g.players, g.ledger.entries()):
+            ledgers[i] = ledger
     mixture = _trace_to_mixture(policy_trace, t_max, config.thin_stride)
     regrets = [untruthful_regret(led) for led in ledgers]
     certificate = max(0.0, max(r / t_max for r in regrets))
     curve = np.asarray(curve_rows) if curve_rows else np.empty((0, 6))
-    return RunResult(mixture, ledgers, certificate, regrets, curve, t_max, sigma_traces)
+    sampled = config.reward_mode == "sampled"
+    sampling = (config.epsilon / 2, 1 - config.delta) if sampled else None
+    return RunResult(mixture, ledgers, certificate, regrets, curve, t_max, sigma_traces,
+                     sampling)
 
 
 def _trace_to_mixture(policy_trace, t_max: int, thin: int) -> MixtureDistribution:
@@ -268,3 +300,18 @@ def write_certificate_txt(path: str, result: RunResult, game: BayesianGame) -> N
         fh.write(f"epsilon = {result.certificate!r}\n")
         fh.write(f"worst_case_bound_at_T = {bound!r}\n")
         fh.write(f"horizon = {result.horizon}\n")
+        for key, value in sampling_fields(result).items():
+            fh.write(f"{key} = {value!r}\n")
+
+
+def sampling_fields(result: RunResult) -> dict:
+    """For sampled rewards, what bounds the exact eps of the play: each
+    Monte-Carlo entry lies within eps/4 of its exact value except with the
+    probability delta the sample budget was sized for, so the exact eps is at
+    most the certificate plus eps/2 with confidence 1 - delta.  Empty for
+    exact rewards."""
+    if result.sampling is None:
+        return {}
+    slack, confidence = result.sampling
+    return {"sampling_slack": slack, "confidence": confidence,
+            "epsilon_upper_bound": result.certificate + slack}

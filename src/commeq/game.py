@@ -226,6 +226,17 @@ def uniform_policy(num_types: int, num_actions: int) -> np.ndarray:
     return np.full((num_types, num_actions), 1.0 / num_actions)
 
 
+def prior_rows(prior_row, batched: bool = False) -> np.ndarray:
+    """A (K,) prior row, or with ``batched`` also (B, K) rows, as floats;
+    rejects empty, non-finite and negative rows."""
+    rho = np.asarray(prior_row, dtype=float)
+    if rho.ndim not in ((1, 2) if batched else (1,)) or rho.shape[-1] == 0 \
+            or not (np.isfinite(rho).all() and (rho >= 0).all()):
+        raise BadInput("prior row must be a non-empty, finite, non-negative vector"
+                       + (" or a stack of them" if batched else ""))
+    return rho
+
+
 def policy_violation(x: np.ndarray, tol: float = SUM_TOL_INGEST) -> float:
     """Largest violation of the type-wise policy invariants (0 when valid, inf
     when an entry is not finite)."""

@@ -14,9 +14,9 @@ import math
 
 import numpy as np
 
-from .errors import BadInput, NoConvergence, RewardOutOfRange, SupportTooLarge
-from .game import strategy_table, uniform_policy
-from .transforms import _power_fixed_point, _solve_fixed_point
+from .errors import BadInput, RewardOutOfRange, SupportTooLarge
+from .game import prior_rows, strategy_table
+from .transforms import _fixed_points, _power_fixed_point, _solve_fixed_point
 
 REWARD_TOL = 1e-9
 LEARNER_FP_TOL = 1e-10
@@ -133,10 +133,12 @@ class DoublingMwu:
 class _DoublingBank:
     """A grid of independent doubling-trick MWU learners sharing decision size d.
 
-    ``shape`` indexes the learners.  Weights, rewards and decisions are laid
+    ``shape`` indexes the learners; a batch of untruthful learners puts its
+    batch axis first, (B, K, K, M).  Weights, rewards and decisions are laid
     out decision axis first, ``(d,) + shape``, so each per-learner max or sum
     is d - 1 elementwise operations over contiguous slabs instead of one tiny
-    reduction per learner.  ``ranges`` broadcasts against ``shape`` and gives
+    reduction per learner; the state is kept as (d, learners), the fewest axes
+    for numpy to iterate.  ``ranges`` broadcasts against ``shape`` and gives
     each learner's reward range; zero-range learners ignore updates and stay
     uniform.
     """
@@ -144,18 +146,19 @@ class _DoublingBank:
     def __init__(self, shape: tuple[int, ...], d: int, ranges):
         self.shape = shape
         self.d = int(d)
-        self.ranges = np.broadcast_to(np.asarray(ranges, dtype=float), shape).copy()
+        self.ranges = np.broadcast_to(np.asarray(ranges, dtype=float), shape).flatten()
         self.live = self.ranges > 0
-        self.logw = np.zeros((d,) + shape)
-        self.epoch_cum = np.zeros((d,) + shape)
+        self.logw = np.zeros((d, self.ranges.size))
+        self.epoch_cum = np.zeros((d, self.ranges.size))
         logd = math.log(d) if d > 1 else 0.0
-        self.budget = np.full(shape, logd)
-        self.eta = np.ones(shape) if d > 1 else np.zeros(shape)
+        self.budget = np.full(self.ranges.size, logd)
+        self.eta = np.ones(self.ranges.size) if d > 1 else np.zeros(self.ranges.size)
 
     def decisions(self) -> np.ndarray:
-        return _softmax(self.logw, axis=0)
+        return _softmax(self.logw, axis=0).reshape((self.d,) + self.shape)
 
     def update(self, rewards: np.ndarray) -> None:
+        rewards = rewards.reshape(self.logw.shape)
         # slightly looser than the public 1e-9: fixed-point and reward dust compound
         _check_reward(rewards, self.ranges, 1e-8)
         if self.d <= 1:
@@ -171,17 +174,14 @@ class _DoublingBank:
             self.epoch_cum[:, burst] = 0.0
 
 
-def _hot_fixed_point(dense: np.ndarray, seed: np.ndarray, tol: float,
-                     norm_blocks: tuple[int, int]) -> np.ndarray:
-    """Fixed point for the learner loop: warm-started power iteration with a
-    least-squares fallback for degenerate (non-positive) matrices."""
-    x, res, its = _power_fixed_point(dense, seed, tol, LEARNER_FP_CAP)
-    if res <= tol:
-        return x
-    x2, res2 = _solve_fixed_point(dense, *norm_blocks)
-    if res2 <= tol and x2.min() >= -tol:
-        return np.clip(x2, 0.0, None)
-    raise NoConvergence(its, min(res, res2))
+def _hot_fixed_points(dense: np.ndarray, seed: np.ndarray, tol: float,
+                      num_types: int) -> np.ndarray:
+    """Fixed points for the learner loop: warm-started power iteration on a
+    stack of transforms with a least-squares fallback for degenerate
+    (non-positive) entries.  The step routines are looked up in this module,
+    so wrappers bound to their names here see the learners' calls."""
+    return _fixed_points(dense, seed, tol, LEARNER_FP_CAP, num_types,
+                         _power_fixed_point, _solve_fixed_point)
 
 
 class UntruthfulSwapLearner:
@@ -192,24 +192,31 @@ class UntruthfulSwapLearner:
     action).  Each round the subroutine outputs assemble a strictly positive
     swap transform whose fixed point is the emitted policy, so deviating
     through the learner's own transform gains nothing.
+
+    A (K,) prior row makes one learner, stepped with (K, M) rewards into
+    (K, M) policies.  (B, K) rows make B independent learners sharing (K, M)
+    that step as one: rewards and policies are (B, K, M), and every entry
+    emits the decisions it would emit alone.
     """
 
     def __init__(self, prior_row, num_actions: int, horizon: int,
                  fp_tol: float = LEARNER_FP_TOL):
-        self.rho = np.asarray(prior_row, dtype=float)
-        if self.rho.ndim != 1 or self.rho.min() < 0:
-            raise BadInput("prior row must be a non-negative vector")
-        self.K = self.rho.size
+        rho = prior_rows(prior_row, batched=True)
+        self.batched = rho.ndim == 2
+        self.rho = rho if self.batched else rho[None]     # (B, K)
+        self.B, self.K = self.rho.shape
+        self._rho_col = self.rho[:, :, None]
+        self._typed = self._rho_col > 0
         self.M = int(num_actions)
         self.T = int(horizon)
         self.fp_tol = float(fp_tol)
         self.eta_type = fixed_rate_eta(self.K, self.T)
-        self.logw = np.zeros((self.K, self.K))
-        self.bank = _DoublingBank((self.K, self.K, self.M), self.M,
-                                  self.rho[:, None, None])
-        self.w = _softmax(self.logw, axis=1)
-        self.y = self.bank.decisions()        # (M_a, K, K, M_a')
-        self.x = uniform_policy(self.K, self.M)
+        self.logw = np.zeros((self.B, self.K, self.K))
+        self.bank = _DoublingBank((self.B, self.K, self.K, self.M), self.M,
+                                  self.rho[:, :, None, None])
+        self.w = _softmax(self.logw, axis=2)
+        self.y = self.bank.decisions()        # (M_a, B, K, K, M_a')
+        self.x = np.full((self.B, self.K, self.M), 1.0 / self.M)
         self.rounds = 0
 
     def step(self, prev_reward=None) -> np.ndarray:
@@ -218,33 +225,41 @@ class UntruthfulSwapLearner:
             self._feed(np.asarray(prev_reward, dtype=float))
         self._decide()
         self.rounds += 1
-        return self.x.copy()
+        return self.x.copy() if self.batched else self.x[0].copy()
 
     def _feed(self, u: np.ndarray) -> None:
-        if u.shape != (self.K, self.M):
-            raise BadInput(f"reward must have shape {(self.K, self.M)}")
+        shape = (self.B, self.K, self.M) if self.batched else (self.K, self.M)
+        if u.shape != shape:
+            raise BadInput(f"reward must have shape {shape}")
         _check_reward(u, 1.0, REWARD_TOL)
-        ubar = self.rho[:, None] * u
+        ubar = self._rho_col * u                            # (B, theta, a)
         # doubling subroutine (theta, theta', a') sees reward x(theta',a') * ubar(theta,a)
-        split = ubar.T[:, :, None, None] * self.x          # (a, theta, theta', a')
-        self.bank.update(split)
+        split = ubar.transpose(2, 0, 1)[:, :, :, None, None] * self.x[:, None]
+        self.bank.update(split)                             # (a, B, theta, theta', a')
         # type subroutine theta sees, per decision theta', the y-weighted collapse
-        z = np.einsum("atpb,atpb->tp", self.y, split)
+        z = np.einsum("abtpc,abtpc->btp", self.y, split)
         if self.K > 1:
-            self.logw += self.eta_type * np.divide(z, self.rho[:, None], out=np.zeros(z.shape),
-                                                   where=self.rho[:, None] > 0)
+            self.logw += self.eta_type * np.divide(z, self._rho_col, out=np.zeros(z.shape),
+                                                   where=self._typed)
 
     def _decide(self) -> None:
-        self.w = _softmax(self.logw, axis=1)
+        self.w = _softmax(self.logw, axis=2)
         self.y = self.bank.decisions()
-        x = _hot_fixed_point(self.current_transform_dense(), self.x.reshape(-1),
-                             self.fp_tol, (self.K, self.M))
-        self.x = x.reshape(self.K, self.M)
+        x = _hot_fixed_points(self._dense(), self.x.reshape(self.B, -1), self.fp_tol, self.K)
+        self.x = x.reshape(self.B, self.K, self.M)
+
+    def _dense(self) -> np.ndarray:
+        """Q[b, (theta, a), (theta', a')] = w(theta, theta') y(a | theta, theta', a'),
+        built with (b, theta) as one axis."""
+        bk, km = self.B * self.K, self.K * self.M
+        y4 = self.y.reshape(self.M, bk, self.K, self.M).transpose(1, 0, 2, 3)
+        q4 = self.w.reshape(bk, self.K)[:, None, :, None] * y4
+        return q4.reshape(self.B, km, km)
 
     def current_transform_dense(self) -> np.ndarray:
-        """Q((theta, a), (theta', a')) = w(theta, theta') y(a | theta, theta', a')."""
-        q4 = self.w[:, None, :, None] * self.y.transpose(1, 0, 2, 3)
-        return q4.reshape(self.K * self.M, self.K * self.M)
+        """The dense transform, (B, KM, KM) for a batch, (KM, KM) for one learner."""
+        dense = self._dense()
+        return dense if self.batched else dense[0]
 
 
 class SwapRegretLearner:
@@ -267,7 +282,8 @@ class SwapRegretLearner:
             _check_reward(u, self.bank.ranges, REWARD_TOL)
             self.bank.update(u[:, None] * self.p)
         # decisions()[a, a'] is expert a''s weight on a: already the dense transform
-        self.p = _hot_fixed_point(self.bank.decisions(), self.p, self.fp_tol, (1, self.M))
+        dense = self.bank.decisions()[None]
+        self.p = _hot_fixed_points(dense, self.p[None], self.fp_tol, 1)[0]
         return self.p.copy()
 
 
@@ -276,7 +292,7 @@ class TypewiseSwapLearner:
     scaled by its prior probability."""
 
     def __init__(self, prior_row, num_actions: int, fp_tol: float = LEARNER_FP_TOL):
-        self.rho = np.asarray(prior_row, dtype=float)
+        self.rho = prior_rows(prior_row)
         self.K = self.rho.size
         self.M = int(num_actions)
         self.per_type = [SwapRegretLearner(self.M, reward_range=float(r), fp_tol=fp_tol)
@@ -326,7 +342,7 @@ class StrategySwapLearner:
         p = np.ones((self.S, self.S))
         for theta in range(self.K):
             p *= z[self.table[:, theta], :, theta]      # P(s, s') = prod_theta z_{s',theta}(s(theta))
-        self.sigma = _hot_fixed_point(p, self.sigma, self.fp_tol, (1, self.S))
+        self.sigma = _hot_fixed_points(p[None], self.sigma[None], self.fp_tol, 1)[0]
         return self.sigma.copy()
 
     def policy_marginal(self) -> np.ndarray:
@@ -335,25 +351,3 @@ class StrategySwapLearner:
         for theta in range(self.K):
             np.add.at(out[theta], self.table[:, theta], self.sigma)
         return out
-
-
-# functional aliases mirroring the step operations
-
-def mwu_update(state: MwuLearner, reward) -> np.ndarray:
-    return state.update(reward)
-
-
-def doubling_update(state: DoublingMwu, reward) -> np.ndarray:
-    return state.update(reward)
-
-
-def untruthful_step(state: UntruthfulSwapLearner, prev_reward=None) -> np.ndarray:
-    return state.step(prev_reward)
-
-
-def typewise_step(state: TypewiseSwapLearner, prev_reward=None) -> np.ndarray:
-    return state.step(prev_reward)
-
-
-def strategy_swap_step(state: StrategySwapLearner, prev_reward=None) -> np.ndarray:
-    return state.step(prev_reward)

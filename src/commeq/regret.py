@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditError, BadInput, SupportTooLarge
+from .game import prior_rows, strategy_table
 
 NEGATIVE_REGRET_TOL = 1e-9
 EPS = float(np.finfo(float).eps)
@@ -23,33 +24,47 @@ TIE_ULPS = 8
 
 @dataclass
 class RegretLedger:
-    """Cumulative cross tensors for one player; single-owner while accumulating."""
+    """Cumulative cross tensors for one player; single-owner while accumulating.
+
+    A stacked ledger holds B players' or runs' ledgers of equal (K, M) at
+    once: ``rho`` is (B, K), ``cross`` (B, K, K, M, M) and ``alg_reward`` a
+    (B,) array, and every regret below returns one value per entry.
+    """
 
     rho: np.ndarray
-    cross: np.ndarray           # (K, K, M, M)
-    alg_reward: float = 0.0
+    cross: np.ndarray           # (K, K, M, M), or (B, K, K, M, M) when stacked
+    alg_reward: float | np.ndarray = 0.0
     rounds: int = 0
 
     @staticmethod
     def create(prior_row, num_actions: int) -> RegretLedger:
-        rho = np.asarray(prior_row, dtype=float)
-        k, m = rho.size, int(num_actions)
-        return RegretLedger(rho, np.zeros((k, k, m, m)))
+        """One ledger for a (K,) prior row, a stacked one for (B, K) rows."""
+        rho = prior_rows(prior_row, batched=True)
+        k, m = rho.shape[-1], int(num_actions)
+        alg = np.zeros(rho.shape[:-1]) if rho.ndim > 1 else 0.0
+        return RegretLedger(rho, np.zeros(rho.shape[:-1] + (k, k, m, m)), alg)
 
     def copy(self) -> RegretLedger:
-        return RegretLedger(self.rho.copy(), self.cross.copy(), self.alg_reward, self.rounds)
+        alg = self.alg_reward.copy() if self.rho.ndim > 1 else self.alg_reward
+        return RegretLedger(self.rho.copy(), self.cross.copy(), alg, self.rounds)
+
+    def entries(self) -> list[RegretLedger]:
+        """The per-entry ledgers of a stacked ledger; each shares its cross tensor."""
+        return [RegretLedger(row, cross, float(alg), self.rounds)
+                for row, cross, alg in zip(self.rho, self.cross, self.alg_reward)]
 
 
 def accumulate(ledger: RegretLedger, x_t: np.ndarray, u_t: np.ndarray) -> RegretLedger:
-    """Fold one round's policy and reward into the ledger."""
-    k, m = ledger.cross.shape[0], ledger.cross.shape[2]
+    """Fold one round's policy and reward into the ledger ((B, K, M) when stacked)."""
+    shape = ledger.rho.shape + (ledger.cross.shape[-1],)
     x = np.asarray(x_t, dtype=float)
     u = np.asarray(u_t, dtype=float)
-    if x.shape != (k, m) or u.shape != (k, m):
-        raise BadInput(f"policy and reward must both have shape {(k, m)}")
-    ubar = ledger.rho[:, None] * u
-    ledger.cross += ubar[:, None, :, None] * x[None, :, None, :]
-    ledger.alg_reward += float((x * ubar).sum())
+    if x.shape != shape or u.shape != shape:
+        raise BadInput(f"policy and reward must both have shape {shape}")
+    ubar = ledger.rho[..., None] * u
+    ledger.cross += ubar[..., :, None, :, None] * x[..., None, :, None, :]
+    gain = (x * ubar).sum(axis=(-2, -1))
+    ledger.alg_reward += gain if ledger.rho.ndim > 1 else float(gain)
     ledger.rounds += 1
     return ledger
 
@@ -66,43 +81,52 @@ def _drift(rounds: int, cells: int, scale: float) -> float:
     return (rounds + cells) * EPS * scale
 
 
-def _ledger_drift(ledger: RegretLedger) -> float:
-    """_drift for a ledger: its rounds, its cells and its largest cumulative entry."""
-    scale = max(abs(ledger.alg_reward), float(np.abs(ledger.cross).max(initial=0.0)))
-    return _drift(ledger.rounds, ledger.cross.size, scale)
+def _ledger_drift(ledger: RegretLedger):
+    """_drift per ledger entry: its rounds, its cells and its largest cumulative entry."""
+    cells = ledger.cross.reshape(ledger.rho.shape[:-1] + (-1,))
+    scale = np.maximum(np.abs(ledger.alg_reward), np.abs(cells).max(axis=-1, initial=0.0))
+    return _drift(ledger.rounds, math.prod(ledger.cross.shape[-4:]), scale)
 
 
-def _checked(value: float, what: str, drift) -> float:
-    """Reject a value below -max(NEGATIVE_REGRET_TOL, drift()); ``drift`` is
-    only called for values below -NEGATIVE_REGRET_TOL."""
-    if value < -NEGATIVE_REGRET_TOL and value < -drift():
-        raise AuditError(f"{what} is {value:.3e} < 0; the identity deviation forbids this")
+def _checked(value, what: str, drift):
+    """Reject a value below -max(NEGATIVE_REGRET_TOL, drift()), entry by entry
+    when ``value`` is an array; ``drift`` is only called when some value is
+    below -NEGATIVE_REGRET_TOL."""
+    low = value < -NEGATIVE_REGRET_TOL
+    if np.any(low) and np.any(low & (value < -drift())):
+        raise AuditError(f"{what} is {np.min(value):.3e} < 0; "
+                         "the identity deviation forbids this")
     return value
 
 
-def untruthful_regret(ledger: RegretLedger) -> float:
+def _per_entry(value):
+    """A float for one ledger, the (B,) array for a stacked one."""
+    return value if isinstance(value, np.ndarray) else float(value)
+
+
+def untruthful_regret(ledger: RegretLedger) -> float | np.ndarray:
     """Exact max over all (type misreport, action swap) pairs, by decomposition."""
-    per_report = ledger.cross.max(axis=2).sum(axis=2)   # (K true, K reported)
-    value = float(per_report.max(axis=1).sum()) - ledger.alg_reward
+    per_report = ledger.cross.max(axis=-2).sum(axis=-1)   # (K true, K reported)
+    value = _per_entry(per_report.max(axis=-1).sum(axis=-1) - ledger.alg_reward)
     return _checked(value, "untruthful swap regret", lambda: _ledger_drift(ledger))
 
 
-def typewise_regret(ledger: RegretLedger) -> float:
+def typewise_regret(ledger: RegretLedger) -> float | np.ndarray:
     """Action swaps only (truthful reporting)."""
-    diag = np.einsum("iiab->iab", ledger.cross)
-    value = float(diag.max(axis=1).sum()) - ledger.alg_reward
+    diag = np.einsum("...iiab->...iab", ledger.cross)
+    value = _per_entry(diag.max(axis=-2).sum(axis=(-2, -1)) - ledger.alg_reward)
     return _checked(value, "type-wise swap regret", lambda: _ledger_drift(ledger))
 
 
-def external_regret(ledger: RegretLedger) -> float:
+def external_regret(ledger: RegretLedger) -> float | np.ndarray:
     """Best fixed action per type.
 
     Unlike the swap families, the comparator class here does not contain the
     algorithm's own randomized play, so small negative values are legitimate
     and returned as-is.
     """
-    diag = np.einsum("iiab->iab", ledger.cross)
-    return float(diag.sum(axis=2).max(axis=1).sum()) - ledger.alg_reward
+    diag = np.einsum("...iiab->...iab", ledger.cross)
+    return _per_entry(diag.sum(axis=-1).max(axis=-1).sum(axis=-1) - ledger.alg_reward)
 
 
 def first_near_max(values: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
@@ -154,8 +178,6 @@ def strategy_regret(sigmas, rewards, prior_row, cap: int = 10**4) -> float:
     (T, K, M).  The max over all strategy swaps decomposes per (recommended
     strategy, type), so it costs |S| K M, not |S|^|S|.
     """
-    from .game import strategy_table
-
     sig = np.asarray(sigmas, dtype=float)
     u = np.asarray(rewards, dtype=float)
     rho = np.asarray(prior_row, dtype=float)

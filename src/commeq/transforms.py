@@ -19,6 +19,7 @@ from .game import SUM_TOL_INGEST, uniform_policy
 
 FIXED_POINT_TOL = 1e-10
 FIXED_POINT_CAP = 100_000
+PLATEAU_STRIDE = 100             # power-iteration steps between plateau checks
 VERTEX_CHECK_CAP = 4096
 
 
@@ -125,28 +126,99 @@ def random_transform(rng: np.random.Generator, num_types: int, num_actions: int,
 
 
 def _power_fixed_point(dense: np.ndarray, seed: np.ndarray, tol: float,
-                       cap: int) -> tuple[np.ndarray, float, int]:
-    """Iterate x <- Qx until the residual drops below tol or plateaus.
+                       cap: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Iterate x <- Qx on a stack of B transforms until every entry's residual
+    drops below tol or plateaus.
 
-    Returns (x, residual, iterations); the caller decides what a bad residual
+    ``dense`` is (B, n, n) and ``seed`` (B, n).  Each entry stops at the
+    iteration where it would stop alone: at the iterate whose residual reached
+    tol, or at the next one on a plateau (not even 10% progress in
+    PLATEAU_STRIDE steps); at the cap it keeps its last iterate and its best
+    residual.  Returns (x, residual, iterations): the (B, n) iterates, their
+    (B,) residuals and the sweeps run.  The caller decides what a bad residual
     means.  No renormalization is needed: Q maps the policy space into itself.
     """
-    x = seed
-    best = np.inf
-    last_check = np.inf
+    best = last_check = np.inf  # per live entry while more than one is live
+    live = out = residual = None  # set once some entries stop before the others
+    # one live entry iterates as a plain vector, several as an (L, n, 1) stack
+    x, dense = (seed[0], dense[0]) if len(seed) == 1 else (seed[:, :, None], dense)
     for it in range(1, cap + 1):
         qx = dense @ x
-        res = float(np.abs(qx - x).max())
-        if res <= tol:
-            return x, res, it
-        if res < best:
-            best = res
-        if it % 100 == 0:
-            if best > 0.9 * last_check:  # plateau: not even 10% progress in 100 steps
-                return qx, res, it
+        diff = np.abs(qx - x)
+        if x.ndim == 1:
+            worst = float(diff.max())
+            if worst <= tol:
+                at = x          # converged
+            else:
+                if worst < best:
+                    best = worst
+                if it % PLATEAU_STRIDE:
+                    x = qx
+                    continue
+                if best <= 0.9 * last_check:
+                    last_check, x = best, qx
+                    continue
+                at = qx         # stalled
+            if live is None:
+                return at[None], np.array([worst]), it
+            out[live[0]], residual[live[0]] = at, worst
+            return out, residual, it
+        res = diff.max(axis=(1, 2))
+        if res.max() <= tol:    # every live entry converged
+            if live is None:
+                return x[:, :, 0], res, it
+            out[live], residual[live] = x[:, :, 0], res
+            return out, residual, it
+        best = np.fmin(best, res)
+        stop, at = res <= tol, x
+        if it % PLATEAU_STRIDE == 0:
+            stall = best > 0.9 * last_check
             last_check = best
+            if stall.any():     # a converged entry keeps x, a stalled one qx
+                at = np.where(stop[:, None, None], x, qx)
+                stop |= stall
+        if stop.any():
+            if live is None:
+                live, out, residual = np.arange(len(x)), np.empty(seed.shape), np.empty(len(x))
+            out[live[stop]], residual[live[stop]] = at[stop, :, 0], res[stop]
+            keep = np.flatnonzero(~stop)
+            if len(keep) == 0:
+                return out, residual, it
+            live, qx, dense, best = live[keep], qx[keep], dense[keep], best[keep]
+            if np.ndim(last_check):
+                last_check = last_check[keep]
+            if len(keep) == 1:
+                qx, dense, best = qx[0, :, 0], dense[0], float(best[0])
+                last_check = float(np.min(last_check))
         x = qx
-    return x, best, cap
+    values, res = (x[None], np.array([best])) if x.ndim == 1 else (x[:, :, 0], best)
+    if live is None:
+        return values, res, cap
+    out[live], residual[live] = values, res
+    return out, residual, cap
+
+
+def _fixed_points(dense: np.ndarray, seed: np.ndarray, tol: float, cap: int,
+                  num_types: int, power=None, solve=None) -> np.ndarray:
+    """Per-entry policies x with ||Qx - x||_inf <= tol for a stack of dense
+    transforms ``dense`` (B, n, n), from ``seed`` (B, n).
+
+    Power iteration from the seed; an entry that plateaus or reaches ``cap``
+    falls through, alone, to a least-squares solve of (Q - I)x = 0 with the
+    per-type normalization rows appended.  Callers may pass ``power`` and
+    ``solve`` as bound in their own module, so that whatever wraps those
+    names there (a tracing wrapper, say) sees the calls.
+    """
+    x, res, its = (power or _power_fixed_point)(dense, seed, tol, cap)
+    if its < PLATEAU_STRIDE and its < cap:  # no entry could have stalled or hit the cap
+        return x
+    for b in np.flatnonzero(~(res <= tol)):
+        x2, res2 = (solve or _solve_fixed_point)(dense[b], num_types,
+                                                 dense.shape[-1] // num_types)
+        if not (res2 <= tol and x2.min() >= -tol):
+            raise NoConvergence(its, min(float(res[b]), res2))
+        x[b] = np.clip(x2, 0.0, None)
+    return x
 
 
 def fixed_point(q: SwapTransform, tol: float = FIXED_POINT_TOL,
@@ -162,22 +234,16 @@ def fixed_point(q: SwapTransform, tol: float = FIXED_POINT_TOL,
     guaranteed for positive transforms.
     """
     k, m = q.num_types, q.num_actions
-    dense = q.dense()
     seed = uniform_policy(k, m) if seed_policy is None else np.asarray(seed_policy, dtype=float)
-    x, res, its = _power_fixed_point(dense, seed.reshape(k * m), tol, FIXED_POINT_CAP)
-    if res <= tol:
-        return x.reshape(k, m)
-    x, res2 = _solve_fixed_point(dense, k, m)
-    if res2 <= tol and x.min() >= -tol:
-        return np.clip(x, 0.0, None).reshape(k, m)
-    raise NoConvergence(its, min(res, res2))
+    x = _fixed_points(q.dense()[None], seed.reshape(1, k * m), tol, FIXED_POINT_CAP, k)
+    return x.reshape(k, m)
 
 
 def _solve_fixed_point(dense: np.ndarray, k: int, m: int) -> tuple[np.ndarray, float]:
+    """Least-squares fixed point of one dense transform with its k per-type
+    normalization rows appended; returns (x, residual)."""
     d = k * m
-    norm_rows = np.zeros((k, d))
-    for theta in range(k):
-        norm_rows[theta, theta * m:(theta + 1) * m] = 1.0
+    norm_rows = np.repeat(np.eye(k), m, axis=1)
     a = np.vstack([dense - np.eye(d), norm_rows])
     b = np.concatenate([np.zeros(d), np.ones(k)])
     x, *_ = np.linalg.lstsq(a, b, rcond=None)

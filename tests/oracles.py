@@ -418,8 +418,55 @@ def reference_deviation_gains(game, i, dist):
 # ---------------------------------------------------------------------------
 # the learners with their doubling bank laid out decision axis last (weights
 # and rewards shape + (d,)), the reference for the library's decision-axis-
-# first bank; they share the library's warm-started fixed point, which the
-# layout does not touch
+# first bank, each stepping one learner at a time with its own copy of the
+# unbatched warm-started fixed point below
+
+
+def _reference_power_fixed_point(dense, seed, tol, cap):
+    x = seed
+    best = np.inf
+    last_check = np.inf
+    for it in range(1, cap + 1):
+        qx = dense @ x
+        res = float(np.abs(qx - x).max())
+        if res <= tol:
+            return x, res, it
+        if res < best:
+            best = res
+        if it % 100 == 0:
+            if best > 0.9 * last_check:  # plateau: not even 10% progress in 100 steps
+                return qx, res, it
+            last_check = best
+        x = qx
+    return x, best, cap
+
+
+def _reference_solve_fixed_point(dense, k, m):
+    d = k * m
+    norm_rows = np.zeros((k, d))
+    for theta in range(k):
+        norm_rows[theta, theta * m:(theta + 1) * m] = 1.0
+    a = np.vstack([dense - np.eye(d), norm_rows])
+    b = np.concatenate([np.zeros(d), np.ones(k)])
+    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    res = float(np.abs(dense @ x - x).max())
+    res = max(res, float(np.abs(norm_rows @ x - 1.0).max()))
+    return x, res
+
+
+def _hot_fixed_point(dense, seed, tol, norm_blocks):
+    """Fixed point for the learner loop: warm-started power iteration with a
+    least-squares fallback for degenerate (non-positive) matrices."""
+    from commeq.errors import NoConvergence
+    from commeq.learners import LEARNER_FP_CAP
+    x, res, its = _reference_power_fixed_point(dense, seed, tol, LEARNER_FP_CAP)
+    if res <= tol:
+        return x
+    x2, res2 = _reference_solve_fixed_point(dense, *norm_blocks)
+    if res2 <= tol and x2.min() >= -tol:
+        return np.clip(x2, 0.0, None)
+    raise NoConvergence(its, min(res, res2))
+
 
 def _softmax_last(logw):
     z = logw - logw.max(axis=-1, keepdims=True)
@@ -458,6 +505,13 @@ class ReferenceBank:
 
 
 class ReferenceUntruthfulLearner:
+    """One learner for a (K,) prior row; (B, K) rows step B of them one by one."""
+
+    def __new__(cls, prior_row, num_actions, horizon):
+        if np.ndim(prior_row) == 2:
+            return ReferenceLearnerStack([cls(row, num_actions, horizon) for row in prior_row])
+        return super().__new__(cls)
+
     def __init__(self, prior_row, num_actions, horizon):
         from commeq.learners import LEARNER_FP_TOL, fixed_rate_eta
         self.rho = np.asarray(prior_row, dtype=float)
@@ -470,7 +524,6 @@ class ReferenceUntruthfulLearner:
         self.x = np.full((self.K, self.M), 1.0 / self.M)
 
     def step(self, prev_reward=None):
-        from commeq.learners import _hot_fixed_point
         if prev_reward is not None:
             ubar = self.rho[:, None] * np.asarray(prev_reward, dtype=float)
             split = self.x[None, :, :, None] * ubar[:, None, None, :]
@@ -489,6 +542,17 @@ class ReferenceUntruthfulLearner:
         return self.x.copy()
 
 
+class ReferenceLearnerStack:
+    """Independent learners fed and read as one (B, ...) stack."""
+
+    def __init__(self, learners):
+        self.learners = learners
+
+    def step(self, prev_reward=None):
+        prev = [None] * len(self.learners) if prev_reward is None else prev_reward
+        return np.stack([lr.step(u) for lr, u in zip(self.learners, prev)])
+
+
 class ReferenceSwapLearner:
     def __init__(self, num_actions, reward_range=1.0):
         from commeq.learners import LEARNER_FP_TOL
@@ -498,7 +562,6 @@ class ReferenceSwapLearner:
         self.p = np.full(self.M, 1.0 / self.M)
 
     def step(self, prev_reward=None):
-        from commeq.learners import _hot_fixed_point
         if prev_reward is not None:
             u = np.asarray(prev_reward, dtype=float)
             self.bank.update(self.p[None, None, :, None] * u[None, None, None, :])
@@ -534,7 +597,6 @@ class ReferenceStrategyLearner:
         self.sigma = np.full(self.S, 1.0 / self.S)
 
     def step(self, prev_reward=None):
-        from commeq.learners import _hot_fixed_point
         if prev_reward is not None:
             u = np.asarray(prev_reward, dtype=float)
             self.bank.update(self.sigma[:, None, None] * u[None, :, :])

@@ -16,6 +16,7 @@ from commeq.game import (SUM_TOL_DERIVED, StrategyDistribution, PriorModel, game
 from commeq.learners import (DoublingMwu, MwuLearner, StrategySwapLearner, SwapRegretLearner,
                              TypewiseSwapLearner, UntruthfulSwapLearner, _DoublingBank)
 from commeq.poa import SmoothnessSpec, smoothness_frontier
+from commeq.regret import RegretLedger
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 MATCHING = os.path.join(FIXTURES, "matching_game.json")
@@ -226,6 +227,30 @@ def test_learners_reject_non_finite_and_out_of_range_rewards(name, bad):
     reward.flat[-1] = bad
     with pytest.raises(RewardOutOfRange):
         getattr(learner, method)(reward)
+
+
+BAD_PRIORS = {
+    "untruthful-nan": lambda: UntruthfulSwapLearner([np.nan, 1.0], 2, 10),
+    "untruthful-inf": lambda: UntruthfulSwapLearner([np.inf, 1.0], 2, 10),
+    "untruthful-negative": lambda: UntruthfulSwapLearner([-0.5, 1.5], 2, 10),
+    "untruthful-empty": lambda: UntruthfulSwapLearner([], 2, 10),
+    "untruthful-3d": lambda: UntruthfulSwapLearner(np.full((1, 1, 2), 0.5), 2, 10),
+    "untruthful-batch-nan": lambda: UntruthfulSwapLearner([[0.5, 0.5], [np.nan, 1]], 2, 10),
+    "untruthful-batch-negative": lambda: UntruthfulSwapLearner([[0.5, 0.5], [1.5, -0.5]], 2, 1),
+    "typewise-nan": lambda: TypewiseSwapLearner([np.nan, 1.0], 2),
+    "typewise-inf": lambda: TypewiseSwapLearner([1.0, -np.inf], 2),
+    "typewise-negative": lambda: TypewiseSwapLearner([-0.5, 1.5], 2),
+    "typewise-batch": lambda: TypewiseSwapLearner([[0.5, 0.5]], 2),
+    "ledger-nan": lambda: RegretLedger.create([np.nan, 1.0], 2),
+    "ledger-negative": lambda: RegretLedger.create([-0.5, 1.5], 2),
+    "ledger-batch-inf": lambda: RegretLedger.create([[0.5, 0.5], [np.inf, 0.0]], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PRIORS))
+def test_learners_and_ledgers_reject_non_finite_and_negative_prior_rows(name):
+    with pytest.raises(BadInput):
+        BAD_PRIORS[name]()
 
 
 @pytest.mark.parametrize("name", ["swap", "typewise"])

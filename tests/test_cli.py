@@ -181,6 +181,31 @@ def test_sampled_mode_cli(tmp_path, capsys):
     assert code == 0
 
 
+def test_sampled_certificate_states_its_slack(tmp_path, capsys):
+    """Sampled runs add the slack, the confidence and the upper bound after the
+    lines exact runs write; both files stay `key = value` lines."""
+    docs = {}
+    for mode in ("exact", "sampled"):
+        out = tmp_path / mode
+        code = main(["simulate", fx("matching_game.json"), "-T", "40", "--reward", mode,
+                     "--eps", "0.5", "--delta", "0.2", "--seed", "2", "--out-dir", str(out)])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        text = (out / "certificate.txt").read_text().splitlines()
+        docs[mode] = (doc, dict(line.split(" = ", 1) for line in text), [
+            line.split(" = ")[0] for line in text])
+    doc, lines, keys = docs["exact"]
+    assert keys == ["epsilon", "worst_case_bound_at_T", "horizon"]
+    assert sorted(doc) == ["certificate", "out_dir"]
+    doc, lines, keys = docs["sampled"]
+    assert keys == ["epsilon", "worst_case_bound_at_T", "horizon",
+                    "sampling_slack", "confidence", "epsilon_upper_bound"]
+    assert float(lines["sampling_slack"]) == doc["sampling_slack"] == 0.25
+    assert float(lines["confidence"]) == doc["confidence"] == 0.8
+    assert float(lines["epsilon_upper_bound"]) == doc["epsilon_upper_bound"] \
+        == doc["certificate"] + 0.25
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     """``python -m commeq`` from a checkout, with only ``src`` on the path."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))

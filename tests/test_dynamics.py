@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -169,6 +170,33 @@ def test_sampled_certificate_close_to_exact():
         if out.certificate <= exact.certificate + eps:
             good += 1
     assert good / reps >= 1 - delta
+
+
+GAME_FIXTURES = ("correlated_coarse_game", "first_price_auction", "guessing_game",
+                 "matching_game", "zero_payoff_game")
+
+
+@pytest.mark.parametrize("name", GAME_FIXTURES)
+def test_sampled_upper_bound_covers_exact_eps_of_own_mixture(name):
+    """The exact eps of a sampled run's own play stays within its stated bound:
+    the certificate plus eps/2 (each Monte-Carlo entry is within eps/4)."""
+    from commeq.game import load_game
+    game = load_game(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                                  f"{name}.json"))
+    for seed in (1, 2):
+        result = run_dynamics(game, DynamicsConfig(horizon=60, seed=seed,
+                                                   reward_mode="sampled"))
+        assert result.sampling == (0.05, 0.95)
+        bound = dynamics.sampling_fields(result)["epsilon_upper_bound"]
+        assert bound == result.certificate + 0.05
+        exact = comm_eq_epsilon(game, result.mixture).epsilon
+        assert exact <= bound, (name, seed, exact)
+
+
+def test_exact_runs_claim_no_sampling_slack():
+    result = run_dynamics(fixtures.matching_game(), DynamicsConfig(horizon=20))
+    assert result.sampling is None
+    assert dynamics.sampling_fields(result) == {}
 
 
 def test_empirical_distribution_shapes():

@@ -17,9 +17,11 @@ from commeq.game import (BayesianGame, MixtureDistribution, PriorModel,
 from commeq.learners import StrategySwapLearner, TypewiseSwapLearner, UntruthfulSwapLearner
 from commeq.poa import (QuasilinearGame, SmoothnessSpec, check_smoothness,
                         smoothness_frontier)
-from commeq.regret import RegretLedger, accumulate, typewise_regret, untruthful_regret
+from commeq.regret import (RegretLedger, accumulate, external_regret, typewise_regret,
+                           untruthful_regret)
 from commeq.verifier import _profile_matrix, coarse_epsilon, deviation_tensor, sfce_epsilon
 
+from .oracles import _hot_fixed_point as oracles_hot_fixed_point
 from .oracles import (ReferenceStrategyLearner, ReferenceTypewiseLearner,
                       ReferenceUntruthfulLearner, reference_deviation_gains,
                       reference_exact_reward, reference_max_lambda,
@@ -348,18 +350,29 @@ def _played(kind, learner, out):
     return learner.policy_marginal() if kind == "strategy-swap" else out
 
 
-@pytest.mark.parametrize("kind", dynamics.LEARNER_KINDS)
-@pytest.mark.parametrize("k, m", LEARNER_DIMS)
-def test_learners_match_decision_axis_last_reference(kind, k, m):
-    """Seeded streams with a zero-mass type (when k > 1); one action pays 1
-    in every other round, so the experts' in-epoch sums keep crossing their
-    budgets and the doubling restarts fire throughout."""
-    rng = np.random.default_rng(1000 * k + m)
+def _seeded_stream(k, m, seed):
+    """A prior row with a zero-mass type (when k > 1) and a reward stream in
+    which one action pays 1 in every other round, so the experts' in-epoch
+    sums keep crossing their budgets and the doubling restarts fire
+    throughout."""
+    rng = np.random.default_rng(seed)
     rho = rng.random(k) + 0.1
     rho[k - 1] = 0.0 if k > 1 else rho[k - 1]
     rho /= rho.sum()
     stream = rng.random((LEARNER_ROUNDS, k, m))
     stream[::2, :, int(rng.integers(m))] = 1.0
+    return rho, stream
+
+
+def _restarts(banks, m):
+    return sum(int((b.budget > math.log(m)).sum()) for b in banks)
+
+
+@pytest.mark.parametrize("kind", dynamics.LEARNER_KINDS)
+@pytest.mark.parametrize("k, m", LEARNER_DIMS)
+def test_learners_match_decision_axis_last_reference(kind, k, m):
+    """The seeded streams of ``_seeded_stream``."""
+    rho, stream = _seeded_stream(k, m, 1000 * k + m)
     new, ref = _learner_pair(kind, rho, m)
     ledgers = (RegretLedger.create(rho, m), RegretLedger.create(rho, m))
     prev = None
@@ -372,8 +385,133 @@ def test_learners_match_decision_axis_last_reference(kind, k, m):
     for regret in (untruthful_regret, typewise_regret):
         assert abs(regret(ledgers[0]) - regret(ledgers[1])) <= 1e-9
     banks = [lr.bank for lr in getattr(new, "per_type", [new])]
-    restarts = sum(int((b.budget > math.log(m)).sum()) for b in banks)
-    assert restarts > 0 or m == 1
+    assert _restarts(banks, m) > 0 or m == 1
+
+
+BATCH = 4
+
+
+@pytest.mark.parametrize("k, m", LEARNER_DIMS)
+def test_batched_learner_matches_lone_learners(k, m):
+    """B learners stepped as one batch against the same learners stepped
+    alone, entry j on the seeded stream of seed 1000 k + m + j: each with a
+    zero-mass type when k > 1 and firing restarts, and with its own prior."""
+    rows, streams = zip(*(_seeded_stream(k, m, 1000 * k + m + j) for j in range(BATCH)))
+    rows, streams = np.stack(rows), np.stack(streams, axis=1)        # (T, B, k, m)
+    batch = UntruthfulSwapLearner(rows, m, LEARNER_ROUNDS)
+    alone = [UntruthfulSwapLearner(row, m, LEARNER_ROUNDS) for row in rows]
+    stacked = RegretLedger.create(rows, m)
+    ledgers = [RegretLedger.create(row, m) for row in rows]
+    prev = None
+    for u in streams:
+        got = batch.step(prev)
+        assert got.shape == (BATCH, k, m)
+        for j, learner in enumerate(alone):
+            want = learner.step(None if prev is None else prev[j])
+            np.testing.assert_allclose(got[j], want, rtol=0, atol=1e-12)
+            accumulate(ledgers[j], want, u[j])
+        accumulate(stacked, got, u)
+        prev = u
+    for regret in (untruthful_regret, typewise_regret, external_regret):
+        values = regret(stacked)
+        assert values.shape == (BATCH,)
+        for j, entry in enumerate(stacked.entries()):
+            assert abs(values[j] - regret(ledgers[j])) <= 1e-9
+            assert abs(regret(entry) - regret(ledgers[j])) <= 1e-9
+    assert _restarts([batch.bank], m) > 0 or m == 1
+
+
+def test_batched_fixed_point_sends_only_the_degenerate_entry_to_lstsq(monkeypatch):
+    """One batch: positive transforms that converge after different numbers of
+    sweeps, and a type swap whose power iteration oscillates until the
+    plateau exit sends it, alone, to the least-squares solve.  Every entry
+    gets what the unbatched reference fixed point gives it."""
+    from commeq import learners, transforms
+    rng = np.random.default_rng(29)
+    k, m = 2, 2
+    dense = [transforms.random_transform(rng, k, m).dense() for _ in range(3)]
+    swap = transforms.deviation_to_transform(
+        transforms.DeviationPair.create([1, 0], np.tile(np.arange(m), (k, 1))))
+    dense.insert(2, swap.dense())
+    dense = np.stack(dense)
+    seeds = rng.dirichlet(np.ones(m), size=(len(dense), k)).reshape(len(dense), -1)
+    solved = []
+
+    def counting_solve(d, *blocks):
+        solved.append(d.copy())
+        return transforms._solve_fixed_point(d, *blocks)
+    monkeypatch.setattr(learners, "_solve_fixed_point", counting_solve)
+    got = learners._hot_fixed_points(dense, seeds, learners.LEARNER_FP_TOL, k)
+    assert len(solved) == 1 and np.array_equal(solved[0], dense[2])
+    for b in range(len(dense)):
+        want = oracles_hot_fixed_point(dense[b], seeds[b], learners.LEARNER_FP_TOL, (k, m))
+        np.testing.assert_allclose(got[b], want, rtol=0, atol=1e-12)
+    its = [transforms._power_fixed_point(d[None], s[None], learners.LEARNER_FP_TOL,
+                                         learners.LEARNER_FP_CAP)[2]
+           for d, s in zip(dense, seeds)]
+    assert len(set(its)) > 2                    # the entries stopped at different sweeps
+    x, res, sweeps = transforms._power_fixed_point(dense, seeds, learners.LEARNER_FP_TOL,
+                                                   learners.LEARNER_FP_CAP)
+    assert sweeps == max(its) and isinstance(sweeps, int)
+    assert (res <= learners.LEARNER_FP_TOL).sum() == len(dense) - 1
+
+
+def test_batched_fixed_point_raises_when_the_fallback_fails():
+    from commeq import learners
+    from commeq.errors import NoConvergence
+    rng = np.random.default_rng(31)
+    dense = np.stack([np.full((2, 2), 0.5), 2.0 * np.eye(2)])      # the second is no transform
+    seeds = rng.dirichlet(np.ones(2), size=2)
+    with pytest.raises(NoConvergence):
+        learners._hot_fixed_points(dense, seeds, learners.LEARNER_FP_TOL, 1)
+
+
+def _agrees_with_reference_learners(monkeypatch, game, kinds):
+    """run_dynamics against reference learners stepped one by one; returns
+    the (B, K) prior shapes the untruthful groups were built with."""
+    config = DynamicsConfig(horizon=300, learners=kinds)
+    fast = run_dynamics(game, config)
+    batches = []
+
+    def reference(rows, m, horizon):
+        batches.append(np.shape(rows))
+        return ReferenceUntruthfulLearner(rows, m, horizon)
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "UntruthfulSwapLearner", reference)
+        patch.setattr(dynamics, "TypewiseSwapLearner", ReferenceTypewiseLearner)
+        slow = run_dynamics(game, config)
+    assert abs(fast.certificate - slow.certificate) <= 1e-12
+    np.testing.assert_allclose(fast.curve, slow.curve, rtol=0, atol=1e-9)
+    for a, b in zip(fast.mixture.policies, slow.mixture.policies):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+    for led in fast.ledgers:
+        assert isinstance(led.alg_reward, float) and led.cross.ndim == 4
+    return sorted(batches)
+
+
+@pytest.mark.parametrize("name", GAME_FIXTURES)
+def test_dynamics_with_reference_untruthful_learner_on_fixtures(monkeypatch, name):
+    """Grouped untruthful players on every game fixture; then a mixed run in
+    which only the untruthful player forms a group (a batch of one)."""
+    game = load_game(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                                  f"{name}.json"))
+    same = game.num_types[0] == game.num_types[1] and game.num_actions[0] == game.num_actions[1]
+    k0, k1 = game.num_types
+    want = [(2, k0)] if same else sorted([(1, k0), (1, k1)])
+    assert _agrees_with_reference_learners(monkeypatch, game, ("untruthful",) * 2) == want
+    assert _agrees_with_reference_learners(monkeypatch, game,
+                                           ("untruthful", "typewise")) == [(1, k0)]
+
+
+def test_untruthful_groups_need_equal_types_and_actions(monkeypatch):
+    """Players 0 and 2 share (K, M) = (2, 2) and step as one batch; player 1
+    has the same K but three actions and steps alone."""
+    rng = np.random.default_rng(37)
+    nt, na = (2, 2, 2), (2, 3, 2)
+    prior = PriorModel.product([r / r.sum() for r in rng.random((3, 2)) + 0.1])
+    payoffs = [rng.random(nt + na) for _ in nt]
+    game = BayesianGame.create(_labels(nt, "t"), _labels(na, "a"), prior, payoffs)
+    assert _agrees_with_reference_learners(monkeypatch, game, "untruthful") == [(1, 2), (2, 2)]
 
 
 def test_adversary_regret_matches_reference_bit_for_bit(monkeypatch):

@@ -7,8 +7,7 @@ from commeq.errors import RewardOutOfRange, SupportTooLarge
 from commeq.game import strategy_table
 from commeq.learners import (DoublingMwu, MwuLearner, StrategySwapLearner,
                              SwapRegretLearner, TypewiseSwapLearner,
-                             UntruthfulSwapLearner, doubling_update, mwu_update,
-                             untruthful_step)
+                             UntruthfulSwapLearner)
 from commeq.regret import (RegretLedger, accumulate, strategy_regret,
                            typewise_regret, untruthful_bound, untruthful_regret)
 
@@ -36,7 +35,7 @@ GOLDEN_X10 = np.array([[0.52628376, 0.47371624],
 
 def test_mwu_single_step_closed_form():
     state = MwuLearner(2, eta=0.5)
-    got = mwu_update(state, np.array([1.0, 0.0]))
+    got = state.update(np.array([1.0, 0.0]))
     want = np.array([math.exp(0.5), 1.0])
     want /= want.sum()
     assert np.allclose(got, want, atol=1e-15)
@@ -70,7 +69,7 @@ def test_doubling_first_restart_at_budget_crossing():
     total = 0.0
     rounds = 0
     while state.epoch == 0:
-        doubling_update(state, np.array([0.4, 0.0]))
+        state.update(np.array([0.4, 0.0]))
         total += 0.4
         rounds += 1
         assert rounds < 100
@@ -102,7 +101,7 @@ def test_doubling_regret_bound_u_star_100():
 def test_untruthful_cold_start_uniform():
     for k, m in [(1, 2), (2, 3), (4, 2)]:
         state = UntruthfulSwapLearner(np.full(k, 1 / k), m, 100)
-        assert np.allclose(untruthful_step(state, None), 1.0 / m)
+        assert np.allclose(state.step(None), 1.0 / m)
 
 
 def test_untruthful_fixed_point_residual_every_round():

@@ -250,6 +250,26 @@ def test_negative_regret_slack_grows_with_the_horizon():
                 check(inflated)
 
 
+def test_stacked_ledger_judges_each_entry_against_its_own_drift():
+    """Entry 0 is the 50 000-round drift ledger, which passes alone; entry 1
+    is the same ledger scaled by 1/100 with 5e-9 of reward it never earned,
+    below the scaled ledger's drift but above entry 0's."""
+    big = _constant_stream(50_000)
+    small = RegretLedger(big.rho, big.cross / 100, big.alg_reward / 100 + 5e-9, big.rounds)
+
+    def stacked(*entries):
+        return RegretLedger(np.stack([e.rho for e in entries]),
+                            np.stack([e.cross for e in entries]),
+                            np.array([e.alg_reward for e in entries]), big.rounds)
+    for check in (untruthful_regret, typewise_regret):
+        values = check(stacked(big, big))
+        assert values.shape == (2,) and values[0] == check(big)
+        with pytest.raises(AuditError):
+            check(small)
+        with pytest.raises(AuditError):
+            check(stacked(big, small))
+
+
 def test_untruthful_witness_is_stable_under_float_dust():
     """Policies that ignore the type make every report tie: psi is the lowest
     report under any one-ulp change of the cross tensor."""
