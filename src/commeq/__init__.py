@@ -13,8 +13,7 @@ from .game import (BayesianGame, MixtureDistribution, PriorModel,
                    strategy_to_mixture, uniform_policy, validate_game)
 from .transforms import (DeviationPair, SwapTransform, assemble_transform,
                          deviation_to_transform, fixed_point, linear_to_transform)
-from .learners import (DoublingMwu, MwuLearner, StrategySwapLearner,
-                       TypewiseSwapLearner, UntruthfulSwapLearner)
+from .learners import StrategySwapLearner, TypewiseSwapLearner, UntruthfulSwapLearner
 from .regret import (RegretLedger, accumulate, external_regret, strategy_regret,
                      typewise_regret, untruthful_bound, untruthful_regret,
                      untruthful_witness)

@@ -43,8 +43,6 @@ class DynamicsConfig:
     threads: int = 1
     curve_stride: int = 1               # 0 disables the per-round regret curve
     thin_stride: int = 1                # >1 stores every k-th component (approximation!)
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-    strategy_cap: int = 4096
 
     def learner_kinds(self, n: int) -> tuple[str, ...]:
         kinds = (self.learners,) * n if isinstance(self.learners, str) else tuple(self.learners)
@@ -145,10 +143,10 @@ class _Group:
 
 def _make_groups(game: BayesianGame, kinds: tuple[str, ...],
                  config: DynamicsConfig) -> list[_Group]:
-    """Untruthful players of equal (K, M) share one batched learner; every
-    other player steps a learner of its own."""
-    keys = [("untruthful", game.num_types[i], game.num_actions[i])
-            if kind == "untruthful" else i for i, kind in enumerate(kinds)]
+    """Untruthful players of equal (K, M) share one batched learner, and so do
+    type-wise ones; a strategy-swap player steps a learner of its own."""
+    keys = [i if kind == "strategy-swap" else (kind, game.num_types[i], game.num_actions[i])
+            for i, kind in enumerate(kinds)]
     groups = []
     for key in dict.fromkeys(keys):                     # in order of first player
         players = [i for i, other in enumerate(keys) if other == key]
@@ -158,9 +156,9 @@ def _make_groups(game: BayesianGame, kinds: tuple[str, ...],
         if kind == "untruthful":
             learner = UntruthfulSwapLearner(rows, na, config.horizon)
         elif kind == "typewise":
-            learner = TypewiseSwapLearner(rows[0], na)
+            learner = TypewiseSwapLearner(rows, na)
         else:
-            learner = StrategySwapLearner(nt, na, cap=config.strategy_cap)
+            learner = StrategySwapLearner(nt, na)
         groups.append(_Group(kind, players, learner, RegretLedger.create(rows, na)))
     return groups
 
@@ -200,7 +198,7 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
                 if g.kind == "strategy-swap":
                     sigma_traces[g.players[0]][t - 1] = out
                     out = g.learner.policy_marginal()
-                g.played = out if g.kind == "untruthful" else out[None]
+                g.played = out[None] if g.kind == "strategy-swap" else out
                 for b, i in enumerate(g.players):
                     policies[i] = g.played[b]
                     policy_trace[i][t - 1] = g.played[b]
@@ -210,7 +208,7 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
                     rng = _round_rng(config.seed, i, t)
                     return sampled_reward(game, i, policies, config.epsilon,
                                           config.delta, rng, t_max)
-                return exact_reward(game, i, policies, config.enumeration_cap)
+                return exact_reward(game, i, policies)
             if pool is None:
                 rewards = [reward(i) for i in range(game.n)]
             else:
@@ -219,7 +217,7 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
             for g in groups:
                 u = np.stack([rewards[i] for i in g.players])
                 accumulate(g.ledger, g.played, u)
-                g.prev = u if g.kind == "untruthful" else u[0]
+                g.prev = u[0] if g.kind == "strategy-swap" else u
             if config.curve_stride and t % config.curve_stride == 0:
                 for g in groups:
                     g.curve = (external_regret(g.ledger), typewise_regret(g.ledger),

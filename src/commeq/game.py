@@ -226,14 +226,14 @@ def uniform_policy(num_types: int, num_actions: int) -> np.ndarray:
     return np.full((num_types, num_actions), 1.0 / num_actions)
 
 
-def prior_rows(prior_row, batched: bool = False) -> np.ndarray:
-    """A (K,) prior row, or with ``batched`` also (B, K) rows, as floats;
-    rejects empty, non-finite and negative rows."""
+def prior_rows(prior_row) -> np.ndarray:
+    """A (K,) prior row or a (B, K) stack of them, as floats; rejects empty,
+    non-finite and negative rows."""
     rho = np.asarray(prior_row, dtype=float)
-    if rho.ndim not in ((1, 2) if batched else (1,)) or rho.shape[-1] == 0 \
+    if rho.ndim not in (1, 2) or rho.size == 0 \
             or not (np.isfinite(rho).all() and (rho >= 0).all()):
         raise BadInput("prior row must be a non-empty, finite, non-negative vector"
-                       + (" or a stack of them" if batched else ""))
+                       " or a stack of them")
     return rho
 
 
@@ -370,6 +370,22 @@ def strategy_space_size(num_types, num_actions) -> int:
     return size
 
 
+def strategy_space_size_under(num_types, num_actions, cap: int) -> int:
+    """strategy_space_size, or SupportTooLarge once the product passes ``cap``.
+    A factor |A_i|^|Theta_i| that alone must pass the cap is never multiplied
+    out, so a huge space costs no huge integer (past 4300 digits Python will
+    not even print one)."""
+    size = 1
+    for k, m in zip(num_types, num_actions):
+        if abs(m) > 1 and k >= int(cap).bit_length():      # |m|^k >= 2^k > cap
+            size = cap + 1
+        else:
+            size *= m ** k
+        if size > cap:
+            raise SupportTooLarge(f"|S| exceeds cap {cap}")
+    return size
+
+
 def encode_strategy_profile(s: list[np.ndarray], num_actions) -> int:
     """Mixed-radix index of a strategy profile; player 1's first type is the
     most significant digit."""
@@ -406,9 +422,7 @@ class StrategyDistribution:
     def create(num_types, num_actions, probs, cap: int = DEFAULT_STRATEGY_CAP) -> StrategyDistribution:
         num_types = tuple(int(k) for k in num_types)
         num_actions = tuple(int(m) for m in num_actions)
-        size = strategy_space_size(num_types, num_actions)
-        if size > cap:
-            raise SupportTooLarge(f"|S| = {size} exceeds cap {cap}")
+        size = strategy_space_size_under(num_types, num_actions, cap)
         p = np.asarray(probs, dtype=float).reshape(-1)
         if p.size != size:
             raise BadInput(f"sigma has {p.size} entries, |S| = {size}")

@@ -1,5 +1,5 @@
-"""Online learners: plain and doubling-trick multiplicative weights, the
-untruthful-swap-regret minimizer, per-type swap learners, and the explicit
+"""Online learners: the untruthful-swap-regret minimizer, the type-wise swap
+learner that is a batch of one-type untruthful learners, and the explicit
 strategy-space swap learner.
 
 All learners share the feed-then-decide convention: calling ``step(reward)``
@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import BadInput, RewardOutOfRange, SupportTooLarge
-from .game import prior_rows, strategy_table
+from .errors import BadInput, RewardOutOfRange
+from .game import prior_rows, strategy_space_size_under, strategy_table
 from .transforms import _fixed_points, _power_fixed_point, _solve_fixed_point
 
 REWARD_TOL = 1e-9
@@ -38,96 +38,18 @@ def _check_reward(u: np.ndarray, top, tol: float) -> None:
                                "outside the range [0, r] or not finite")
 
 
+def _count(value, name: str) -> int:
+    """A size argument as an int; BadInput unless it is an integer >= 1."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise BadInput(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def fixed_rate_eta(num_decisions: int, horizon: int) -> float:
     """Step size sqrt(8 ln d / T), tuned for the sqrt(T ln d / 2) regret form."""
     if num_decisions <= 1:
         return 0.0
     return math.sqrt(8.0 * math.log(num_decisions) / max(1, horizon))
-
-
-class MwuLearner:
-    """Fixed-rate multiplicative weights over ``d`` decisions with rewards in [0, r]."""
-
-    def __init__(self, num_decisions: int, horizon: int | None = None,
-                 eta: float | None = None, reward_range: float = 1.0):
-        if eta is None:
-            if horizon is None:
-                raise BadInput("need either an explicit eta or a horizon to tune it")
-            eta = fixed_rate_eta(num_decisions, horizon)
-        self.d = int(num_decisions)
-        self.eta = float(eta)
-        self.r = float(reward_range)
-        self.logw = np.zeros(self.d)
-        self.total_arm_reward = np.zeros(self.d)
-        self.alg_reward = 0.0
-        self.rounds = 0
-
-    @property
-    def decision(self) -> np.ndarray:
-        return _softmax(self.logw, axis=0)
-
-    def update(self, reward) -> np.ndarray:
-        reward = np.asarray(reward, dtype=float)
-        if reward.shape != (self.d,):
-            raise BadInput(f"reward must have {self.d} entries")
-        _check_reward(reward, self.r, REWARD_TOL)
-        self.alg_reward += float(self.decision @ reward)
-        self.total_arm_reward += reward
-        self.rounds += 1
-        if self.r > 0:
-            self.logw += self.eta * (reward / self.r)
-        return self.decision
-
-    def external_regret(self) -> float:
-        return float(self.total_arm_reward.max() - self.alg_reward)
-
-
-class DoublingMwu:
-    """Multiplicative weights with the doubling trick.
-
-    Budgets are in units of the reward range: the epoch restarts (uniform
-    weights, step size retuned to sqrt(ln d / U)) as soon as some arm's
-    in-epoch cumulative reward exceeds U_k, with U_0 = ln d and U_{k+1} = 2 U_k.
-    """
-
-    def __init__(self, num_decisions: int, reward_range: float = 1.0):
-        self.d = int(num_decisions)
-        self.r = float(reward_range)
-        self.logw = np.zeros(self.d)
-        self.epoch = 0
-        self.budget = math.log(self.d) if self.d > 1 else 0.0
-        self.eta = 1.0 if self.d > 1 else 0.0  # sqrt(ln d / U_0)
-        self.epoch_cum = np.zeros(self.d)
-        self.total_arm_reward = np.zeros(self.d)
-        self.alg_reward = 0.0
-        self.rounds = 0
-
-    @property
-    def decision(self) -> np.ndarray:
-        return _softmax(self.logw, axis=0)
-
-    def update(self, reward) -> np.ndarray:
-        reward = np.asarray(reward, dtype=float)
-        if reward.shape != (self.d,):
-            raise BadInput(f"reward must have {self.d} entries")
-        _check_reward(reward, self.r, REWARD_TOL)
-        self.alg_reward += float(self.decision @ reward)
-        self.total_arm_reward += reward
-        self.rounds += 1
-        if self.r > 0 and self.d > 1:
-            rn = reward / self.r
-            self.logw += self.eta * rn
-            self.epoch_cum += rn
-            if self.epoch_cum.max() > self.budget:
-                self.epoch += 1
-                self.budget *= 2.0
-                self.eta = math.sqrt(math.log(self.d) / self.budget)
-                self.logw[:] = 0.0
-                self.epoch_cum[:] = 0.0
-        return self.decision
-
-    def external_regret(self) -> float:
-        return float(self.total_arm_reward.max() - self.alg_reward)
 
 
 class _DoublingBank:
@@ -199,17 +121,15 @@ class UntruthfulSwapLearner:
     emits the decisions it would emit alone.
     """
 
-    def __init__(self, prior_row, num_actions: int, horizon: int,
-                 fp_tol: float = LEARNER_FP_TOL):
-        rho = prior_rows(prior_row, batched=True)
+    def __init__(self, prior_row, num_actions: int, horizon: int):
+        rho = prior_rows(prior_row)
         self.batched = rho.ndim == 2
         self.rho = rho if self.batched else rho[None]     # (B, K)
         self.B, self.K = self.rho.shape
         self._rho_col = self.rho[:, :, None]
         self._typed = self._rho_col > 0
-        self.M = int(num_actions)
+        self.M = _count(num_actions, "num_actions")
         self.T = int(horizon)
-        self.fp_tol = float(fp_tol)
         self.eta_type = fixed_rate_eta(self.K, self.T)
         self.logw = np.zeros((self.B, self.K, self.K))
         self.bank = _DoublingBank((self.B, self.K, self.K, self.M), self.M,
@@ -218,34 +138,41 @@ class UntruthfulSwapLearner:
         self.y = self.bank.decisions()        # (M_a, B, K, K, M_a')
         self.x = np.full((self.B, self.K, self.M), 1.0 / self.M)
         self.rounds = 0
+        self._shape = self.x.shape if self.batched else self.x.shape[1:]
 
     def step(self, prev_reward=None) -> np.ndarray:
         """Feed the previous round's reward (None on round one), emit the next policy."""
+        return self._step(prev_reward, self._shape)
+
+    def _step(self, prev_reward, shape: tuple[int, ...]) -> np.ndarray:
+        """step, with rewards and policies of ``shape``: the (B, K, M) entries
+        in C order, grouped as the caller sees them."""
         if prev_reward is not None:
-            self._feed(np.asarray(prev_reward, dtype=float))
+            u = np.asarray(prev_reward, dtype=float)
+            if u.shape != shape:
+                raise BadInput(f"reward must have shape {shape}")
+            _check_reward(u, 1.0, REWARD_TOL)
+            self._feed(u.reshape(self.x.shape))
         self._decide()
         self.rounds += 1
-        return self.x.copy() if self.batched else self.x[0].copy()
+        return self.x.reshape(shape).copy()
 
     def _feed(self, u: np.ndarray) -> None:
-        shape = (self.B, self.K, self.M) if self.batched else (self.K, self.M)
-        if u.shape != shape:
-            raise BadInput(f"reward must have shape {shape}")
-        _check_reward(u, 1.0, REWARD_TOL)
         ubar = self._rho_col * u                            # (B, theta, a)
         # doubling subroutine (theta, theta', a') sees reward x(theta',a') * ubar(theta,a)
         split = ubar.transpose(2, 0, 1)[:, :, :, None, None] * self.x[:, None]
         self.bank.update(split)                             # (a, B, theta, theta', a')
-        # type subroutine theta sees, per decision theta', the y-weighted collapse
-        z = np.einsum("abtpc,abtpc->btp", self.y, split)
         if self.K > 1:
+            # type subroutine theta sees, per decision theta', the y-weighted collapse
+            z = np.einsum("abtpc,abtpc->btp", self.y, split)
             self.logw += self.eta_type * np.divide(z, self._rho_col, out=np.zeros(z.shape),
                                                    where=self._typed)
 
     def _decide(self) -> None:
         self.w = _softmax(self.logw, axis=2)
         self.y = self.bank.decisions()
-        x = _hot_fixed_points(self._dense(), self.x.reshape(self.B, -1), self.fp_tol, self.K)
+        x = _hot_fixed_points(self._dense(), self.x.reshape(self.B, -1), LEARNER_FP_TOL,
+                              self.K)
         self.x = x.reshape(self.B, self.K, self.M)
 
     def _dense(self) -> np.ndarray:
@@ -262,51 +189,21 @@ class UntruthfulSwapLearner:
         return dense if self.batched else dense[0]
 
 
-class SwapRegretLearner:
-    """Swap-regret minimizer over one action set: one doubling MWU expert per
-    recommended action, playing the stationary distribution of the stacked
-    expert outputs."""
-
-    def __init__(self, num_actions: int, reward_range: float = 1.0,
-                 fp_tol: float = LEARNER_FP_TOL):
-        self.M = int(num_actions)
-        self.fp_tol = float(fp_tol)
-        self.bank = _DoublingBank((self.M,), self.M, reward_range)
-        self.p = np.full(self.M, 1.0 / self.M)
-
-    def step(self, prev_reward=None) -> np.ndarray:
-        if prev_reward is not None:
-            u = np.asarray(prev_reward, dtype=float)
-            if u.shape != (self.M,):
-                raise BadInput(f"reward must have {self.M} entries")
-            _check_reward(u, self.bank.ranges, REWARD_TOL)
-            self.bank.update(u[:, None] * self.p)
-        # decisions()[a, a'] is expert a''s weight on a: already the dense transform
-        dense = self.bank.decisions()[None]
-        self.p = _hot_fixed_points(dense, self.p[None], self.fp_tol, 1)[0]
-        return self.p.copy()
-
-
 class TypewiseSwapLearner:
-    """One independent swap-regret learner per type, fed that type's reward row
-    scaled by its prior probability."""
+    """Per type, a Blum-Mansour swap learner fed that type's reward row scaled
+    by its prior probability: a one-type untruthful learner (no report
+    experts, the M x M swap transform).  A (K,) prior row steps K of them as
+    one batch, (B, K) rows B K of them; rewards and policies are (K, M), or
+    (B, K, M)."""
 
-    def __init__(self, prior_row, num_actions: int, fp_tol: float = LEARNER_FP_TOL):
-        self.rho = prior_rows(prior_row)
-        self.K = self.rho.size
-        self.M = int(num_actions)
-        self.per_type = [SwapRegretLearner(self.M, reward_range=float(r), fp_tol=fp_tol)
-                         for r in self.rho]
+    def __init__(self, prior_row, num_actions: int):
+        rho = prior_rows(prior_row)
+        self.core = UntruthfulSwapLearner(rho.reshape(-1, 1), num_actions, 1)
+        self._shape = rho.shape + (self.core.M,)
 
     def step(self, prev_reward=None) -> np.ndarray:
-        fed = [None] * self.K
-        if prev_reward is not None:
-            u = np.asarray(prev_reward, dtype=float)
-            if u.shape != (self.K, self.M):
-                raise BadInput(f"reward must have shape {(self.K, self.M)}")
-            _check_reward(u, 1.0, REWARD_TOL)
-            fed = self.rho[:, None] * u
-        return np.stack([learner.step(f) for learner, f in zip(self.per_type, fed)])
+        """Feed the previous round's reward (None on round one), emit the next policy."""
+        return self.core._step(prev_reward, self._shape)
 
 
 class StrategySwapLearner:
@@ -318,15 +215,10 @@ class StrategySwapLearner:
     """
 
     def __init__(self, num_types: int, num_actions: int,
-                 cap: int = DEFAULT_STRATEGY_LEARNER_CAP,
-                 fp_tol: float = LEARNER_FP_TOL):
-        self.K = int(num_types)
-        self.M = int(num_actions)
-        self.fp_tol = float(fp_tol)
-        size = self.M ** self.K
-        if size > cap:
-            raise SupportTooLarge(f"|S_i| = {size} exceeds learner cap {cap}")
-        self.S = size
+                 cap: int = DEFAULT_STRATEGY_LEARNER_CAP):
+        self.K = _count(num_types, "num_types")
+        self.M = _count(num_actions, "num_actions")
+        self.S = strategy_space_size_under((self.K,), (self.M,), cap)
         self.table = strategy_table(self.K, self.M)     # (S, K) action indices
         self.bank = _DoublingBank((self.S, self.K), self.M, 1.0)
         self.sigma = np.full(self.S, 1.0 / self.S)
@@ -342,7 +234,7 @@ class StrategySwapLearner:
         p = np.ones((self.S, self.S))
         for theta in range(self.K):
             p *= z[self.table[:, theta], :, theta]      # P(s, s') = prod_theta z_{s',theta}(s(theta))
-        self.sigma = _hot_fixed_points(p[None], self.sigma[None], self.fp_tol, 1)[0]
+        self.sigma = _hot_fixed_points(p[None], self.sigma[None], LEARNER_FP_TOL, 1)[0]
         return self.sigma.copy()
 
     def policy_marginal(self) -> np.ndarray:

@@ -39,7 +39,7 @@ class RegretLedger:
     @staticmethod
     def create(prior_row, num_actions: int) -> RegretLedger:
         """One ledger for a (K,) prior row, a stacked one for (B, K) rows."""
-        rho = prior_rows(prior_row, batched=True)
+        rho = prior_rows(prior_row)
         k, m = rho.shape[-1], int(num_actions)
         alg = np.zeros(rho.shape[:-1]) if rho.ndim > 1 else 0.0
         return RegretLedger(rho, np.zeros(rho.shape[:-1] + (k, k, m, m)), alg)

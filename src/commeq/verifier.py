@@ -17,7 +17,7 @@ import numpy as np
 from .errors import AuditError, BadInput, SupportTooLarge
 from .game import (BayesianGame, MixtureDistribution, StrategyDistribution,
                    decode_strategy_profile, expected_rewards, mixture_to_tabular, reward_axes,
-                   strategy_space_size)
+                   strategy_space_size, strategy_space_size_under)
 from .regret import first_near_max
 from .simplexlp import solve_equality_feasibility
 
@@ -313,9 +313,7 @@ def strategy_representable(pi: np.ndarray, cap: int = DEFAULT_LP_CAP
     pi = np.asarray(pi, dtype=float)
     n = pi.ndim // 2
     nt, na = pi.shape[:n], pi.shape[n:]
-    size = strategy_space_size(nt, na)
-    if size > cap:
-        raise SupportTooLarge(f"|S| = {size} exceeds cap {cap}")
+    size = strategy_space_size_under(nt, na, cap)
     a_mat = np.vstack([_profile_matrix(nt, na), np.ones((1, size))])
     b = np.concatenate([pi.reshape(-1), [1.0]])
     res = solve_equality_feasibility(a_mat, b)

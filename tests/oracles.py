@@ -572,6 +572,14 @@ class ReferenceSwapLearner:
 
 
 class ReferenceTypewiseLearner:
+    """One swap learner per type for a (K,) prior row; (B, K) rows step B
+    type-wise learners one by one."""
+
+    def __new__(cls, prior_row, num_actions):
+        if np.ndim(prior_row) == 2:
+            return ReferenceLearnerStack([cls(row, num_actions) for row in prior_row])
+        return super().__new__(cls)
+
     def __init__(self, prior_row, num_actions):
         self.rho = np.asarray(prior_row, dtype=float)
         self.per_type = [ReferenceSwapLearner(num_actions, float(r)) for r in self.rho]

@@ -7,16 +7,20 @@ import os
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from commeq import cli, errors, fixtures
 from commeq.cli import main
 from commeq.dynamics import DynamicsConfig, run_dynamics
-from commeq.errors import BadInput, RewardOutOfRange
-from commeq.game import (SUM_TOL_DERIVED, StrategyDistribution, PriorModel, game_to_json_dict,
-                         load_game, validate_game)
-from commeq.learners import (DoublingMwu, MwuLearner, StrategySwapLearner, SwapRegretLearner,
-                             TypewiseSwapLearner, UntruthfulSwapLearner, _DoublingBank)
+from commeq.errors import BadInput, CommeqError, RewardOutOfRange, SupportTooLarge
+from commeq.game import (SUM_TOL_DERIVED, BayesianGame, StrategyDistribution, PriorModel,
+                         game_to_json_dict, load_game, save_game, validate_game)
+from commeq.learners import (StrategySwapLearner, TypewiseSwapLearner, UntruthfulSwapLearner,
+                             _DoublingBank)
 from commeq.poa import SmoothnessSpec, smoothness_frontier
 from commeq.regret import RegretLedger
+from commeq.verifier import strategy_representable
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 MATCHING = os.path.join(FIXTURES, "matching_game.json")
@@ -206,12 +210,12 @@ def test_non_finite_smoothness_spec_is_bad_input(tmp_path, capsys, field, value)
     assert code == 1 and "lambda" in err
 
 
-# (make learner, feed one reward, reward shape) for every reward entry point
+# (make learner, feed one reward, reward shape) for every reward entry point;
+# "doubling" is a bank of one learner, "swap" a one-type type-wise learner
 REWARD_FEEDS = {
-    "mwu": (lambda: MwuLearner(3, horizon=10), "update", (3,)),
-    "doubling": (lambda: DoublingMwu(3), "update", (3,)),
+    "doubling": (lambda: _DoublingBank((), 3, 1.0), "update", (3,)),
     "bank": (lambda: _DoublingBank((2,), 3, 1.0), "update", (3, 2)),
-    "swap": (lambda: SwapRegretLearner(3), "step", (3,)),
+    "swap": (lambda: TypewiseSwapLearner([1.0], 3), "step", (1, 3)),
     "typewise": (lambda: TypewiseSwapLearner([0.001, 0.999], 3), "step", (2, 3)),
     "untruthful": (lambda: UntruthfulSwapLearner([0.5, 0.5], 3, 10), "step", (2, 3)),
     "strategy": (lambda: StrategySwapLearner(2, 3), "step", (2, 3)),
@@ -237,13 +241,17 @@ BAD_PRIORS = {
     "untruthful-3d": lambda: UntruthfulSwapLearner(np.full((1, 1, 2), 0.5), 2, 10),
     "untruthful-batch-nan": lambda: UntruthfulSwapLearner([[0.5, 0.5], [np.nan, 1]], 2, 10),
     "untruthful-batch-negative": lambda: UntruthfulSwapLearner([[0.5, 0.5], [1.5, -0.5]], 2, 1),
+    "untruthful-empty-batch": lambda: UntruthfulSwapLearner(np.zeros((0, 2)), 2, 10),
     "typewise-nan": lambda: TypewiseSwapLearner([np.nan, 1.0], 2),
     "typewise-inf": lambda: TypewiseSwapLearner([1.0, -np.inf], 2),
     "typewise-negative": lambda: TypewiseSwapLearner([-0.5, 1.5], 2),
-    "typewise-batch": lambda: TypewiseSwapLearner([[0.5, 0.5]], 2),
+    "typewise-batch": lambda: TypewiseSwapLearner(np.full((1, 1, 2), 0.5), 2),
+    "typewise-batch-nan": lambda: TypewiseSwapLearner([[0.5, 0.5], [np.nan, 1]], 2),
+    "typewise-empty-batch": lambda: TypewiseSwapLearner(np.zeros((0, 2)), 2),
     "ledger-nan": lambda: RegretLedger.create([np.nan, 1.0], 2),
     "ledger-negative": lambda: RegretLedger.create([-0.5, 1.5], 2),
     "ledger-batch-inf": lambda: RegretLedger.create([[0.5, 0.5], [np.inf, 0.0]], 2),
+    "ledger-empty-batch": lambda: RegretLedger.create(np.zeros((0, 2)), 2),
 }
 
 
@@ -253,6 +261,26 @@ def test_learners_and_ledgers_reject_non_finite_and_negative_prior_rows(name):
         BAD_PRIORS[name]()
 
 
+# learner sizes that are not integers >= 1
+BAD_SIZES = {
+    "untruthful-no-actions": lambda: UntruthfulSwapLearner([1.0], 0, 10),
+    "untruthful-fractional-actions": lambda: UntruthfulSwapLearner([1.0], 2.5, 10),
+    "typewise-no-actions": lambda: TypewiseSwapLearner([1.0], 0),
+    "typewise-fractional-actions": lambda: TypewiseSwapLearner([0.5, 0.5], 2.5),
+    "strategy-no-actions": lambda: StrategySwapLearner(2, 0),
+    "strategy-negative-actions": lambda: StrategySwapLearner(2, -1),
+    "strategy-fractional-actions": lambda: StrategySwapLearner(2, 2.5),
+    "strategy-no-types": lambda: StrategySwapLearner(0, 2),
+    "strategy-fractional-types": lambda: StrategySwapLearner(1.5, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SIZES))
+def test_learners_reject_sizes_that_are_not_positive_integers(name):
+    with pytest.raises(BadInput, match="integer >= 1"):
+        BAD_SIZES[name]()
+
+
 @pytest.mark.parametrize("name", ["swap", "typewise"])
 def test_swap_learners_reject_misshapen_rewards(name):
     make, method, shape = REWARD_FEEDS[name]
@@ -260,6 +288,66 @@ def test_swap_learners_reject_misshapen_rewards(name):
     learner.step(None)
     with pytest.raises(BadInput):
         learner.step(np.full((2, 2), 0.25))
+
+
+def test_huge_strategy_space_is_a_cap_error_not_a_crash(tmp_path, capsys):
+    """2^15000 strategies: the caps fire before the size is multiplied out
+    (printing it would pass Python's 4300-digit limit)."""
+    k = 15000
+    game = BayesianGame.create([[f"t{i}" for i in range(k)]], [["a", "b"]],
+                               PriorModel.product([np.full(k, 1.0 / k)]), [np.zeros((k, 2))])
+    save_game(game, str(tmp_path / "game.json"))
+    code = main(["simulate", str(tmp_path / "game.json"), "--learner", "strategy-swap",
+                 "-T", "2", "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and "cap" in err
+    with pytest.raises(SupportTooLarge):
+        StrategyDistribution.create((k,), (2,), [1.0])
+    with pytest.raises(SupportTooLarge):
+        strategy_representable(np.full((k, 2), 0.5 / k))
+
+
+BAD_ENTRIES = st.sampled_from([np.nan, np.inf, -np.inf, -0.5, -1e-6, 1 + 1e-6, 3.0])
+
+
+def _entries(data, shape, top):
+    """An array of ``shape`` in [0, top], with one entry from BAD_ENTRIES half the time."""
+    size = int(np.prod(shape))
+    out = np.array(data.draw(st.lists(st.floats(0, top), min_size=size, max_size=size)))
+    if size and data.draw(st.booleans()):
+        out[data.draw(st.integers(0, size - 1))] = data.draw(BAD_ENTRIES)
+    return out.reshape(shape)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(kind=st.sampled_from(["untruthful", "typewise", "strategy"]),
+       prior_shape=st.lists(st.integers(0, 3), max_size=3).map(tuple),
+       num_types=st.integers(-1, 4), num_actions=st.sampled_from([-1, 0, 1.5, 1, 2, 3, 4]),
+       data=st.data())
+def test_fuzz_learner_boundary(kind, prior_shape, num_types, num_actions, data):
+    """Every learner call on arbitrary priors, sizes and rewards either
+    returns policies or raises a CommeqError."""
+    prior = _entries(data, prior_shape, 1.0)
+    try:
+        if kind == "strategy":
+            learner = StrategySwapLearner(num_types, num_actions)
+        elif kind == "typewise":
+            learner = TypewiseSwapLearner(prior, num_actions)
+        else:
+            learner = UntruthfulSwapLearner(prior, num_actions, 10)
+    except CommeqError:
+        return
+    out = learner.step(None)
+    shape = (num_types, num_actions) if kind == "strategy" else out.shape
+    for _ in range(3):
+        fed = data.draw(st.sampled_from([shape, shape, shape, shape[1:], shape + (1,),
+                                         shape[:-1] + (shape[-1] + 1,)]))
+        try:
+            out = learner.step(_entries(data, fed, 1.0))
+        except CommeqError:
+            continue
+        rows = out if kind == "strategy" else out.reshape(-1, num_actions)
+        assert np.isfinite(out).all() and np.allclose(rows.sum(axis=-1), 1.0)
 
 
 # the README's exit-code table; a new error class without an entry fails

@@ -384,8 +384,7 @@ def test_learners_match_decision_axis_last_reference(kind, k, m):
         prev = u
     for regret in (untruthful_regret, typewise_regret):
         assert abs(regret(ledgers[0]) - regret(ledgers[1])) <= 1e-9
-    banks = [lr.bank for lr in getattr(new, "per_type", [new])]
-    assert _restarts(banks, m) > 0 or m == 1
+    assert _restarts([getattr(new, "core", new).bank], m) > 0 or m == 1
 
 
 BATCH = 4
@@ -395,11 +394,18 @@ BATCH = 4
 def test_batched_learner_matches_lone_learners(k, m):
     """B learners stepped as one batch against the same learners stepped
     alone, entry j on the seeded stream of seed 1000 k + m + j: each with a
-    zero-mass type when k > 1 and firing restarts, and with its own prior."""
+    zero-mass type when k > 1 and firing restarts, and with its own prior.
+    Both batched kinds run under one test id per (k, m)."""
+    for kind in ("untruthful", "typewise"):
+        _check_batch_against_lone_learners(kind, k, m)
+
+
+def _check_batch_against_lone_learners(kind, k, m):
     rows, streams = zip(*(_seeded_stream(k, m, 1000 * k + m + j) for j in range(BATCH)))
     rows, streams = np.stack(rows), np.stack(streams, axis=1)        # (T, B, k, m)
-    batch = UntruthfulSwapLearner(rows, m, LEARNER_ROUNDS)
-    alone = [UntruthfulSwapLearner(row, m, LEARNER_ROUNDS) for row in rows]
+    make = {"untruthful": lambda r: UntruthfulSwapLearner(r, m, LEARNER_ROUNDS),
+            "typewise": lambda r: TypewiseSwapLearner(r, m)}[kind]
+    batch, alone = make(rows), [make(row) for row in rows]
     stacked = RegretLedger.create(rows, m)
     ledgers = [RegretLedger.create(row, m) for row in rows]
     prev = None
@@ -418,7 +424,7 @@ def test_batched_learner_matches_lone_learners(k, m):
         for j, entry in enumerate(stacked.entries()):
             assert abs(values[j] - regret(ledgers[j])) <= 1e-9
             assert abs(regret(entry) - regret(ledgers[j])) <= 1e-9
-    assert _restarts([batch.bank], m) > 0 or m == 1
+    assert _restarts([getattr(batch, "core", batch).bank], m) > 0 or m == 1
 
 
 def test_batched_fixed_point_sends_only_the_degenerate_entry_to_lstsq(monkeypatch):
@@ -468,17 +474,21 @@ def test_batched_fixed_point_raises_when_the_fallback_fails():
 
 def _agrees_with_reference_learners(monkeypatch, game, kinds):
     """run_dynamics against reference learners stepped one by one; returns
-    the (B, K) prior shapes the untruthful groups were built with."""
+    the kind and (B, K) prior shape of each group's learner, sorted."""
     config = DynamicsConfig(horizon=300, learners=kinds)
     fast = run_dynamics(game, config)
     batches = []
 
-    def reference(rows, m, horizon):
-        batches.append(np.shape(rows))
-        return ReferenceUntruthfulLearner(rows, m, horizon)
+    def recorded(kind, cls):
+        def make(rows, *args):
+            batches.append((kind, np.shape(rows)))
+            return cls(rows, *args)
+        return make
     with monkeypatch.context() as patch:
-        patch.setattr(dynamics, "UntruthfulSwapLearner", reference)
-        patch.setattr(dynamics, "TypewiseSwapLearner", ReferenceTypewiseLearner)
+        patch.setattr(dynamics, "UntruthfulSwapLearner",
+                      recorded("untruthful", ReferenceUntruthfulLearner))
+        patch.setattr(dynamics, "TypewiseSwapLearner",
+                      recorded("typewise", ReferenceTypewiseLearner))
         slow = run_dynamics(game, config)
     assert abs(fast.certificate - slow.certificate) <= 1e-12
     np.testing.assert_allclose(fast.curve, slow.curve, rtol=0, atol=1e-9)
@@ -491,27 +501,31 @@ def _agrees_with_reference_learners(monkeypatch, game, kinds):
 
 @pytest.mark.parametrize("name", GAME_FIXTURES)
 def test_dynamics_with_reference_untruthful_learner_on_fixtures(monkeypatch, name):
-    """Grouped untruthful players on every game fixture; then a mixed run in
-    which only the untruthful player forms a group (a batch of one)."""
+    """Grouped untruthful players, then grouped type-wise players, on every
+    game fixture; then a mixed run in which each kind forms a batch of one."""
     game = load_game(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
                                   f"{name}.json"))
     same = game.num_types[0] == game.num_types[1] and game.num_actions[0] == game.num_actions[1]
     k0, k1 = game.num_types
-    want = [(2, k0)] if same else sorted([(1, k0), (1, k1)])
-    assert _agrees_with_reference_learners(monkeypatch, game, ("untruthful",) * 2) == want
-    assert _agrees_with_reference_learners(monkeypatch, game,
-                                           ("untruthful", "typewise")) == [(1, k0)]
+    for kind in ("untruthful", "typewise"):
+        want = [(kind, (2, k0))] if same else sorted([(kind, (1, k0)), (kind, (1, k1))])
+        assert _agrees_with_reference_learners(monkeypatch, game, (kind,) * 2) == want
+    assert _agrees_with_reference_learners(monkeypatch, game, ("untruthful", "typewise")) \
+        == [("typewise", (1, k1)), ("untruthful", (1, k0))]
 
 
 def test_untruthful_groups_need_equal_types_and_actions(monkeypatch):
     """Players 0 and 2 share (K, M) = (2, 2) and step as one batch; player 1
-    has the same K but three actions and steps alone."""
+    has the same K but three actions and steps alone.  Type-wise players
+    group the same way."""
     rng = np.random.default_rng(37)
     nt, na = (2, 2, 2), (2, 3, 2)
     prior = PriorModel.product([r / r.sum() for r in rng.random((3, 2)) + 0.1])
     payoffs = [rng.random(nt + na) for _ in nt]
     game = BayesianGame.create(_labels(nt, "t"), _labels(na, "a"), prior, payoffs)
-    assert _agrees_with_reference_learners(monkeypatch, game, "untruthful") == [(1, 2), (2, 2)]
+    for kind in ("untruthful", "typewise"):
+        assert _agrees_with_reference_learners(monkeypatch, game, kind) \
+            == [(kind, (1, 2)), (kind, (2, 2))]
 
 
 def test_adversary_regret_matches_reference_bit_for_bit(monkeypatch):

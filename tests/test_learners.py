@@ -5,13 +5,12 @@ import pytest
 
 from commeq.errors import RewardOutOfRange, SupportTooLarge
 from commeq.game import strategy_table
-from commeq.learners import (DoublingMwu, MwuLearner, StrategySwapLearner,
-                             SwapRegretLearner, TypewiseSwapLearner,
-                             UntruthfulSwapLearner)
+from commeq.learners import (StrategySwapLearner, TypewiseSwapLearner,
+                             UntruthfulSwapLearner, _DoublingBank)
 from commeq.regret import (RegretLedger, accumulate, strategy_regret,
                            typewise_regret, untruthful_bound, untruthful_regret)
 
-from .oracles import reference_untruthful_trace
+from .oracles import ReferenceSwapLearner, reference_untruthful_trace
 
 GOLDEN_REWARDS = np.array([
     [[1.0, 0.0], [0.0, 1.0]],
@@ -33,42 +32,17 @@ GOLDEN_X10 = np.array([[0.52628376, 0.47371624],
                        [0.41300889, 0.58699111]])
 
 
-def test_mwu_single_step_closed_form():
-    state = MwuLearner(2, eta=0.5)
-    got = state.update(np.array([1.0, 0.0]))
-    want = np.array([math.exp(0.5), 1.0])
-    want /= want.sum()
-    assert np.allclose(got, want, atol=1e-15)
-
-
-def test_mwu_constant_reward_keeps_decision():
-    state = MwuLearner(3, eta=0.7)
-    before = state.decision.copy()
-    for c in (0.3, 1.0, 0.0):
-        after = state.update(np.full(3, c))
-        assert np.allclose(after, before, atol=1e-15)
-
-
-def test_mwu_regret_bound_one_sided_stream():
-    t_max, r = 3000, 1.0
-    state = MwuLearner(2, horizon=t_max, reward_range=r)
-    for _ in range(t_max):
-        state.update(np.array([1.0, 0.0]))
-    assert state.external_regret() <= math.sqrt(0.5 * t_max * math.log(2)) * r
-
-
-def test_mwu_reward_range_enforced():
-    state = MwuLearner(2, eta=0.1, reward_range=0.5)
-    with pytest.raises(RewardOutOfRange):
-        state.update(np.array([0.6, 0.0]))
+def _doubling(d):
+    """A doubling-trick MWU over d arms: a bank of one learner."""
+    return _DoublingBank((), d, 1.0)
 
 
 def test_doubling_first_restart_at_budget_crossing():
-    state = DoublingMwu(2)
-    budget0 = state.budget
+    state = _doubling(2)
+    budget0 = float(state.budget[0])
     total = 0.0
     rounds = 0
-    while state.epoch == 0:
+    while state.budget[0] == budget0:
         state.update(np.array([0.4, 0.0]))
         total += 0.4
         rounds += 1
@@ -79,23 +53,26 @@ def test_doubling_first_restart_at_budget_crossing():
 
 
 def test_doubling_zero_rewards_never_restart():
-    state = DoublingMwu(4)
+    state = _doubling(4)
     for _ in range(200):
         state.update(np.zeros(4))
-    assert state.epoch == 0
-    assert np.allclose(state.decision, 0.25)
+    assert state.budget[0] == math.log(4)
+    assert np.allclose(state.decisions(), 0.25)
 
 
 def test_doubling_regret_bound_u_star_100():
     rng = np.random.default_rng(0)
-    state = DoublingMwu(2)
-    while state.total_arm_reward.max() < 100.0:
+    state = _doubling(2)
+    arm_reward, alg_reward = np.zeros(2), 0.0
+    while arm_reward.max() < 100.0:
         arm = int(rng.random() < 0.4)
         reward = np.zeros(2)
         reward[arm] = 1.0
+        alg_reward += float(state.decisions() @ reward)
+        arm_reward += reward
         state.update(reward)
-    u_star = state.total_arm_reward.max()
-    assert state.external_regret() <= 6 * math.sqrt(u_star * math.log(2)) + 2 * math.log(2)
+    u_star = arm_reward.max()
+    assert u_star - alg_reward <= 6 * math.sqrt(u_star * math.log(2)) + 2 * math.log(2)
 
 
 def test_untruthful_cold_start_uniform():
@@ -121,12 +98,12 @@ def test_untruthful_single_type_equals_swap_learner():
     rng = np.random.default_rng(7)
     t_max = 300
     lu = UntruthfulSwapLearner(np.array([1.0]), 3, t_max)
-    ls = SwapRegretLearner(3, reward_range=1.0)
+    ls = ReferenceSwapLearner(3, reward_range=1.0)
     prev = None
     for t in range(t_max):
         xu = lu.step(prev)
         xs = ls.step(None if prev is None else 1.0 * prev[0])
-        assert np.array_equal(xu[0], xs)
+        np.testing.assert_allclose(xu[0], xs, rtol=0, atol=1e-12)
         prev = rng.random((1, 3))
 
 
@@ -175,12 +152,12 @@ def test_untruthful_zero_prior_type_stays_uniform():
 def test_typewise_single_type_is_swap_learner():
     rng = np.random.default_rng(3)
     lt = TypewiseSwapLearner(np.array([1.0]), 2)
-    ls = SwapRegretLearner(2, reward_range=1.0)
+    ls = ReferenceSwapLearner(2, reward_range=1.0)
     prev = None
     for _ in range(100):
         a = lt.step(prev)
         b = ls.step(None if prev is None else 1.0 * prev[0])
-        assert np.array_equal(a[0], b)
+        np.testing.assert_allclose(a[0], b, rtol=0, atol=1e-12)
         prev = rng.random((1, 2))
 
 
@@ -220,11 +197,11 @@ def test_strategy_swap_cold_start_uniform():
 def test_strategy_swap_single_type_matches_swap_learner():
     rng = np.random.default_rng(8)
     lt = StrategySwapLearner(1, 3)
-    ls = SwapRegretLearner(3, reward_range=1.0)
+    ls = TypewiseSwapLearner([1.0], 3)
     prev = None
     for _ in range(100):
         sigma = lt.step(prev)
-        p = ls.step(None if prev is None else 1.0 * prev[0])
+        p = ls.step(prev)[0]
         assert np.allclose(sigma, p, atol=1e-12)
         prev = rng.random((1, 3))
 
