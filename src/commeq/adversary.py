@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDims, BadInput
+from .errors import BadDims, BadInput, EnumerationTooLarge
 from .learners import TypewiseSwapLearner, UntruthfulSwapLearner
 from .regret import (RegretLedger, accumulate, untruthful_bound,
                      untruthful_regret)
 
 LEARNERS = ("untruthful", "typewise", "oracle", "type-blind")
+STREAM_CAP = 2**24               # T x 2^(B+1) (round, type) cells, 16 bytes each
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,12 @@ class LowerBoundInstance:
     block_len: int               # L = T / B
     patterns: np.ndarray         # (2^B, B) bits: block pattern of each structured type
     coin_flips: np.ndarray       # (2^B, T) bits for the i.i.d. types
-    reward_a0: np.ndarray        # (T, 2^(B+1)) reward of the first action
+    rewards: np.ndarray          # (T, 2^(B+1), 2) reward of each action, built once
+
+    @property
+    def reward_a0(self) -> np.ndarray:
+        """(T, 2^(B+1)) reward of the first action."""
+        return self.rewards[:, :, 0]
 
     @property
     def num_types(self) -> int:
@@ -45,26 +51,32 @@ class LowerBoundInstance:
         return int(np.flatnonzero((self.patterns == 0).all(axis=1))[0])
 
     def reward(self, t: int) -> np.ndarray:
-        """Reward matrix (types x 2) for round t (1-based)."""
-        row = self.reward_a0[t - 1]
-        return np.stack([row, 1.0 - row], axis=1)
+        """Reward matrix (types x 2) for round t (1-based), a read-only view."""
+        return self.rewards[t - 1]
 
 
 def build_instance(blocks: int, horizon: int, seed: int) -> LowerBoundInstance:
+    """The seeded instance; any integer seed is taken modulo 2^64, as in
+    ``dynamics``, so a negative one names a stream too."""
     b, t = int(blocks), int(horizon)
     if b < 1 or t < 1 or t % b != 0:
         raise BadDims("need blocks >= 1 and a horizon divisible by the block count")
+    if b + 1 >= STREAM_CAP.bit_length() or t * 2 ** (b + 1) > STREAM_CAP:
+        raise EnumerationTooLarge(f"a stream of T = {t} rounds and 2^{b + 1} types "
+                                  f"exceeds the cap of {STREAM_CAP} (round, type) cells")
     half = 2 ** b
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)))
     all_patterns = ((np.arange(half)[:, None] >> np.arange(b)[None, ::-1]) & 1).astype(np.int8)
     patterns = all_patterns[rng.permutation(half)]
     coin_flips = rng.integers(0, 2, size=(half, t), dtype=np.int8)
     block_len = t // b
     block_of_round = np.repeat(np.arange(b), block_len)
-    structured = patterns[:, block_of_round].T.astype(float)   # (T, half)
-    noisy = coin_flips.T.astype(float)
-    reward_a0 = np.concatenate([structured, noisy], axis=1)
-    return LowerBoundInstance(b, t, block_len, patterns, coin_flips, reward_a0)
+    rewards = np.empty((t, 2 * half, 2))
+    rewards[:, :half, 0] = patterns[:, block_of_round].T      # structured types
+    rewards[:, half:, 0] = coin_flips.T                       # coin-flip types
+    np.subtract(1.0, rewards[:, :, 0], out=rewards[:, :, 1])
+    rewards.flags.writeable = False
+    return LowerBoundInstance(b, t, block_len, patterns, coin_flips, rewards)
 
 
 def check_instance(inst: LowerBoundInstance) -> None:

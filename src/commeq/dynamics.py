@@ -20,13 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDims, BadInput
+from .errors import BadDims, BadInput, SupportTooLarge
 from .game import BayesianGame, MixtureDistribution, expected_rewards
 from .learners import StrategySwapLearner, TypewiseSwapLearner, UntruthfulSwapLearner
 from .regret import (RegretLedger, accumulate, external_regret, typewise_regret,
                      untruthful_bound, untruthful_regret)
 
 DEFAULT_ENUMERATION_CAP = 10**7
+SAMPLE_CAP = 2**22               # Monte-Carlo samples per (type, oracle call)
 
 LEARNER_KINDS = ("untruthful", "typewise", "strategy-swap")
 REWARD_MODES = ("exact", "sampled")
@@ -75,9 +76,21 @@ def exact_reward(game: BayesianGame, i: int, policies,
 
 def sample_count(epsilon: float, delta: float, n: int, horizon: int,
                  max_type_action: int) -> int:
-    """Per-entry Monte-Carlo sample count for the sampled-reward oracle."""
-    return math.ceil((8.0 / epsilon**2)
-                     * math.log(2.0 * n * horizon * max_type_action / delta))
+    """Per-entry Monte-Carlo sample count for the sampled-reward oracle.
+
+    BadInput unless eps is finite and positive and 0 < delta < 1;
+    SupportTooLarge past SAMPLE_CAP, where an eps whose square underflows
+    asks for infinitely many.  Each type of an oracle call draws this many
+    samples at once, so both checks come before any draw or allocation.
+    """
+    if not (0 < epsilon < math.inf and 0 < delta < 1):
+        raise BadInput("sampled rewards need a finite eps > 0 and 0 < delta < 1")
+    scale = 8.0 / epsilon**2 if epsilon**2 > 0 else math.inf
+    count = scale * math.log(2.0 * n * horizon * max_type_action / delta)
+    if count > SAMPLE_CAP:
+        raise SupportTooLarge(f"eps = {epsilon!r} needs {count:.3g} samples per entry, "
+                              f"past the cap of {SAMPLE_CAP}")
+    return math.ceil(count)
 
 
 def sampled_reward(game: BayesianGame, i: int, policies, epsilon: float, delta: float,
@@ -173,8 +186,9 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
         raise BadInput("threads must be >= 1")
     if config.reward_mode not in REWARD_MODES:
         raise BadInput(f"unknown reward mode {config.reward_mode!r}")
-    if config.reward_mode == "sampled" and not (config.epsilon > 0 and 0 < config.delta < 1):
-        raise BadInput("sampled rewards need eps > 0 and 0 < delta < 1")
+    if config.reward_mode == "sampled":
+        max_ta = max(k * m for k, m in zip(game.num_types, game.num_actions))
+        sample_count(config.epsilon, config.delta, game.n, t_max, max_ta)
     kinds = config.learner_kinds(game.n)
     groups = _make_groups(game, kinds, config)
     slot = {i: (g, b) for g in groups for b, i in enumerate(g.players)}
@@ -287,7 +301,7 @@ def result_to_json_dict(result: RunResult) -> dict:
 
 def write_equilibrium_json(path: str, result: RunResult) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(result_to_json_dict(result), fh, sort_keys=True)
+        fh.write(json.dumps(result_to_json_dict(result), sort_keys=True))   # C encoder
         fh.write("\n")
 
 

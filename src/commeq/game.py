@@ -562,6 +562,8 @@ def load_game(path: str) -> BayesianGame:
 
 
 def save_game(game: BayesianGame, path: str) -> None:
+    # json.dumps runs the C encoder; json.dump to a file writes the same bytes
+    # through the pure-Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(game_to_json_dict(game), fh, sort_keys=True)
+        fh.write(json.dumps(game_to_json_dict(game), sort_keys=True))
         fh.write("\n")

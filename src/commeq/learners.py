@@ -30,10 +30,10 @@ def _softmax(logw: np.ndarray, axis: int) -> np.ndarray:
     return w / w.sum(axis=axis, keepdims=True)
 
 
-def _check_reward(u: np.ndarray, top, tol: float) -> None:
-    """Reject rewards outside [-tol, top + tol]; written so that NaN fails too.
-    ``top`` is the reward range, a scalar or one per learner."""
-    if not (u.min() >= -tol and (u <= top + tol).all()):
+def _check_reward(u: np.ndarray, low: float, high) -> None:
+    """Reject rewards outside [low, high]; written so that NaN fails too.
+    ``high`` is a scalar or one bound per learner."""
+    if not (u.min() >= low and (u <= high).all()):
         raise RewardOutOfRange(f"reward entries span [{u.min():.6g}, {u.max():.6g}], "
                                "outside the range [0, r] or not finite")
 
@@ -70,6 +70,8 @@ class _DoublingBank:
         self.d = int(d)
         self.ranges = np.broadcast_to(np.asarray(ranges, dtype=float), shape).flatten()
         self.live = self.ranges > 0
+        # slightly looser than the public 1e-9: fixed-point and reward dust compound
+        self.high = self.ranges + 1e-8
         self.logw = np.zeros((d, self.ranges.size))
         self.epoch_cum = np.zeros((d, self.ranges.size))
         logd = math.log(d) if d > 1 else 0.0
@@ -81,8 +83,7 @@ class _DoublingBank:
 
     def update(self, rewards: np.ndarray) -> None:
         rewards = rewards.reshape(self.logw.shape)
-        # slightly looser than the public 1e-9: fixed-point and reward dust compound
-        _check_reward(rewards, self.ranges, 1e-8)
+        _check_reward(rewards, -1e-8, self.high)
         if self.d <= 1:
             return
         rn = np.divide(rewards, self.ranges, out=np.zeros(rewards.shape), where=self.live)
@@ -137,6 +138,8 @@ class UntruthfulSwapLearner:
         self.w = _softmax(self.logw, axis=2)
         self.y = self.bank.decisions()        # (M_a, B, K, K, M_a')
         self.x = np.full((self.B, self.K, self.M), 1.0 / self.M)
+        # flat indices into w that repeat each w(b, theta, theta') along a'
+        self._w_cols = np.arange(self.w.size).repeat(self.M).reshape(self.B * self.K, -1)
         self.rounds = 0
         self._shape = self.x.shape if self.batched else self.x.shape[1:]
 
@@ -151,7 +154,7 @@ class UntruthfulSwapLearner:
             u = np.asarray(prev_reward, dtype=float)
             if u.shape != shape:
                 raise BadInput(f"reward must have shape {shape}")
-            _check_reward(u, 1.0, REWARD_TOL)
+            _check_reward(u, -REWARD_TOL, 1.0 + REWARD_TOL)
             self._feed(u.reshape(self.x.shape))
         self._decide()
         self.rounds += 1
@@ -177,11 +180,11 @@ class UntruthfulSwapLearner:
 
     def _dense(self) -> np.ndarray:
         """Q[b, (theta, a), (theta', a')] = w(theta, theta') y(a | theta, theta', a'),
-        built with (b, theta) as one axis."""
-        bk, km = self.B * self.K, self.K * self.M
-        y4 = self.y.reshape(self.M, bk, self.K, self.M).transpose(1, 0, 2, 3)
-        q4 = self.w.reshape(bk, self.K)[:, None, :, None] * y4
-        return q4.reshape(self.B, km, km)
+        multiplied over rows of length K M: y as (a, (b, theta), (theta', a'))
+        times w repeated along a', then moved to (b, (theta, a), (theta', a'))."""
+        km = self.K * self.M
+        q = self.y.reshape(self.M, self.B * self.K, km) * self.w.take(self._w_cols)
+        return q.transpose(1, 0, 2).reshape(self.B, km, km)
 
     def current_transform_dense(self) -> np.ndarray:
         """The dense transform, (B, KM, KM) for a batch, (KM, KM) for one learner."""
@@ -228,7 +231,7 @@ class StrategySwapLearner:
             u = np.asarray(prev_reward, dtype=float)
             if u.shape != (self.K, self.M):
                 raise BadInput(f"reward must have shape {(self.K, self.M)}")
-            _check_reward(u, 1.0, REWARD_TOL)
+            _check_reward(u, -REWARD_TOL, 1.0 + REWARD_TOL)
             self.bank.update(u.T[:, None, :] * self.sigma[:, None])
         z = self.bank.decisions()                       # (M, S, K)
         p = np.ones((self.S, self.S))

@@ -10,7 +10,6 @@ materialized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,19 +21,34 @@ EPS = float(np.finfo(float).eps)
 TIE_ULPS = 8
 
 
-@dataclass
 class RegretLedger:
     """Cumulative cross tensors for one player; single-owner while accumulating.
 
     A stacked ledger holds B players' or runs' ledgers of equal (K, M) at
     once: ``rho`` is (B, K), ``cross`` (B, K, K, M, M) and ``alg_reward`` a
     (B,) array, and every regret below returns one value per entry.
+
+    ``cross`` is a view of ``store``, which holds the tensor as (..., theta,
+    a, theta', a'): a round then adds one outer product of u(theta, a) and
+    x(theta', a') over rows of length K M, and a reduction over the view
+    walks memory, and so adds, in the same order as over a C-order ``cross``.
     """
 
-    rho: np.ndarray
-    cross: np.ndarray           # (K, K, M, M), or (B, K, K, M, M) when stacked
-    alg_reward: float | np.ndarray = 0.0
-    rounds: int = 0
+    def __init__(self, rho: np.ndarray, cross: np.ndarray,
+                 alg_reward: float | np.ndarray = 0.0, rounds: int = 0):
+        self.rho = rho
+        self.cross = cross
+        self.alg_reward = alg_reward
+        self.rounds = rounds
+
+    @property
+    def cross(self) -> np.ndarray:
+        """C[..., theta, theta', a, a'], a view of ``store``."""
+        return self.store.swapaxes(-3, -2)
+
+    @cross.setter
+    def cross(self, value) -> None:
+        self.store = np.asarray(value, dtype=float).swapaxes(-3, -2)
 
     @staticmethod
     def create(prior_row, num_actions: int) -> RegretLedger:
@@ -42,11 +56,13 @@ class RegretLedger:
         rho = prior_rows(prior_row)
         k, m = rho.shape[-1], int(num_actions)
         alg = np.zeros(rho.shape[:-1]) if rho.ndim > 1 else 0.0
-        return RegretLedger(rho, np.zeros(rho.shape[:-1] + (k, k, m, m)), alg)
+        store = np.zeros(rho.shape[:-1] + (k, m, k, m))
+        return RegretLedger(rho, store.swapaxes(-3, -2), alg)
 
     def copy(self) -> RegretLedger:
         alg = self.alg_reward.copy() if self.rho.ndim > 1 else self.alg_reward
-        return RegretLedger(self.rho.copy(), self.cross.copy(), alg, self.rounds)
+        return RegretLedger(self.rho.copy(), self.store.copy().swapaxes(-3, -2), alg,
+                            self.rounds)
 
     def entries(self) -> list[RegretLedger]:
         """The per-entry ledgers of a stacked ledger; each shares its cross tensor."""
@@ -56,13 +72,13 @@ class RegretLedger:
 
 def accumulate(ledger: RegretLedger, x_t: np.ndarray, u_t: np.ndarray) -> RegretLedger:
     """Fold one round's policy and reward into the ledger ((B, K, M) when stacked)."""
-    shape = ledger.rho.shape + (ledger.cross.shape[-1],)
+    shape = ledger.rho.shape + (ledger.store.shape[-1],)
     x = np.asarray(x_t, dtype=float)
     u = np.asarray(u_t, dtype=float)
     if x.shape != shape or u.shape != shape:
         raise BadInput(f"policy and reward must both have shape {shape}")
     ubar = ledger.rho[..., None] * u
-    ledger.cross += ubar[..., :, None, :, None] * x[..., None, :, None, :]
+    ledger.store += ubar[..., :, :, None, None] * x[..., None, None, :, :]
     gain = (x * ubar).sum(axis=(-2, -1))
     ledger.alg_reward += gain if ledger.rho.ndim > 1 else float(gain)
     ledger.rounds += 1
@@ -83,7 +99,7 @@ def _drift(rounds: int, cells: int, scale: float) -> float:
 
 def _ledger_drift(ledger: RegretLedger):
     """_drift per ledger entry: its rounds, its cells and its largest cumulative entry."""
-    cells = ledger.cross.reshape(ledger.rho.shape[:-1] + (-1,))
+    cells = ledger.store.reshape(ledger.rho.shape[:-1] + (-1,))
     scale = np.maximum(np.abs(ledger.alg_reward), np.abs(cells).max(axis=-1, initial=0.0))
     return _drift(ledger.rounds, math.prod(ledger.cross.shape[-4:]), scale)
 

@@ -10,6 +10,7 @@ exactly the pure (type misreport, action swap) deviations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ from .game import SUM_TOL_INGEST, uniform_policy
 FIXED_POINT_TOL = 1e-10
 FIXED_POINT_CAP = 100_000
 PLATEAU_STRIDE = 100             # power-iteration steps between plateau checks
+SWEEP_BLOCK = 8                  # steps between residual checks, on transforms
+SWEEP_BLOCK_CELLS = 128 * 128    # of at most this many cells
 VERTEX_CHECK_CAP = 4096
 
 
@@ -131,71 +134,65 @@ def _power_fixed_point(dense: np.ndarray, seed: np.ndarray, tol: float,
     drops below tol or plateaus.
 
     ``dense`` is (B, n, n) and ``seed`` (B, n).  Each entry stops at the
-    iteration where it would stop alone: at the iterate whose residual reached
+    sweep where it would stop alone: at the iterate whose residual reached
     tol, or at the next one on a plateau (not even 10% progress in
-    PLATEAU_STRIDE steps); at the cap it keeps its last iterate and its best
-    residual.  Returns (x, residual, iterations): the (B, n) iterates, their
-    (B,) residuals and the sweeps run.  The caller decides what a bad residual
-    means.  No renormalization is needed: Q maps the policy space into itself.
+    PLATEAU_STRIDE sweeps); at the cap it keeps its last iterate and its best
+    residual.  Returns (x, residual, sweeps): the (B, n) iterates, their (B,)
+    residuals and the sweep at which the last entry stopped.  The caller
+    decides what a bad residual means.  No renormalization is needed: Q maps
+    the policy space into itself.
+
+    The live entries sweep SWEEP_BLOCK times into one buffer, and one
+    subtract, abs and max give the block's residuals, on which the per-sweep
+    rule is replayed; so an entry may be swept past the iterate it returns.
+    Transforms of more than SWEEP_BLOCK_CELLS cells check every sweep, as a
+    sweep there costs far more than its check.
     """
-    best = last_check = np.inf  # per live entry while more than one is live
-    live = out = residual = None  # set once some entries stop before the others
-    # one live entry iterates as a plain vector, several as an (L, n, 1) stack
-    x, dense = (seed[0], dense[0]) if len(seed) == 1 else (seed[:, :, None], dense)
-    for it in range(1, cap + 1):
-        qx = dense @ x
-        diff = np.abs(qx - x)
-        if x.ndim == 1:
-            worst = float(diff.max())
-            if worst <= tol:
-                at = x          # converged
+    out, residual = np.empty(seed.shape), np.empty(len(seed))
+    best = [math.inf] * len(seed)           # per entry: lowest residual so far,
+    last_check = [math.inf] * len(seed)     # and its value at the last plateau check
+    live, x = np.arange(len(seed)), seed
+    block = SWEEP_BLOCK if dense[0].size <= SWEEP_BLOCK_CELLS else 1
+    swept = stopped = 0
+    while True:
+        k = min(block, cap - swept)
+        xs = np.empty((k + 1,) + x.shape)                # (sweeps, live entries, n)
+        xs[0] = x
+        # one live entry sweeps as a plain mat-vec, several as one stacked
+        # matmul: the same bits, but the mat-vec costs less per call
+        q, xv, product = (dense[0], xs[:, 0], np.dot) if len(live) == 1 else \
+            (dense, xs[..., None], np.matmul)
+        for j in range(k):
+            product(q, xv[j], out=xv[j + 1])
+        diff = xs[1:] - xs[:-1]
+        res = np.abs(diff, out=diff).max(axis=2).T.tolist()   # per live entry, per sweep
+        keep = []
+        for pos, b in enumerate(live.tolist()):
+            for j, worst in enumerate(res[pos]):
+                it = swept + j + 1
+                if worst <= tol:
+                    at = j                  # converged: the iterate it swept
+                    break
+                best[b] = min(best[b], worst)
+                if it % PLATEAU_STRIDE == 0:
+                    if best[b] > 0.9 * last_check[b]:
+                        at = j + 1          # stalled: the iterate it produced
+                        break
+                    last_check[b] = best[b]
             else:
-                if worst < best:
-                    best = worst
-                if it % PLATEAU_STRIDE:
-                    x = qx
-                    continue
-                if best <= 0.9 * last_check:
-                    last_check, x = best, qx
-                    continue
-                at = qx         # stalled
-            if live is None:
-                return at[None], np.array([worst]), it
-            out[live[0]], residual[live[0]] = at, worst
-            return out, residual, it
-        res = diff.max(axis=(1, 2))
-        if res.max() <= tol:    # every live entry converged
-            if live is None:
-                return x[:, :, 0], res, it
-            out[live], residual[live] = x[:, :, 0], res
-            return out, residual, it
-        best = np.fmin(best, res)
-        stop, at = res <= tol, x
-        if it % PLATEAU_STRIDE == 0:
-            stall = best > 0.9 * last_check
-            last_check = best
-            if stall.any():     # a converged entry keeps x, a stalled one qx
-                at = np.where(stop[:, None, None], x, qx)
-                stop |= stall
-        if stop.any():
-            if live is None:
-                live, out, residual = np.arange(len(x)), np.empty(seed.shape), np.empty(len(x))
-            out[live[stop]], residual[live[stop]] = at[stop, :, 0], res[stop]
-            keep = np.flatnonzero(~stop)
-            if len(keep) == 0:
-                return out, residual, it
-            live, qx, dense, best = live[keep], qx[keep], dense[keep], best[keep]
-            if np.ndim(last_check):
-                last_check = last_check[keep]
-            if len(keep) == 1:
-                qx, dense, best = qx[0, :, 0], dense[0], float(best[0])
-                last_check = float(np.min(last_check))
-        x = qx
-    values, res = (x[None], np.array([best])) if x.ndim == 1 else (x[:, :, 0], best)
-    if live is None:
-        return values, res, cap
-    out[live], residual[live] = values, res
-    return out, residual, cap
+                keep.append(pos)
+                continue
+            out[b], residual[b], stopped = xs[at, pos], worst, max(stopped, it)
+        swept += k
+        if not keep:
+            return out, residual, stopped
+        if len(keep) < len(live):
+            live, dense, x = live[keep], dense[keep], xs[k, keep]
+        else:
+            x = xs[k]
+        if swept == cap:
+            out[live], residual[live] = x, [best[b] for b in live.tolist()]
+            return out, residual, cap
 
 
 def _fixed_points(dense: np.ndarray, seed: np.ndarray, tol: float, cap: int,

@@ -27,6 +27,47 @@ def raw_cross_tensor(xs, us, rho):
     return c, g
 
 
+class ReferenceLedger:
+    """The regret ledger as it was laid out before its long-axis store: a
+    plain C-order C[..., theta, theta', a, a'], accumulated and reduced with
+    the same numpy calls on that layout; (B, K) prior rows stack B ledgers."""
+
+    def __init__(self, rho, num_actions):
+        self.rho = np.asarray(rho, dtype=float)
+        k, m = self.rho.shape[-1], num_actions
+        self.cross = np.zeros(self.rho.shape[:-1] + (k, k, m, m))
+        self.alg_reward = np.zeros(self.rho.shape[:-1]) if self.rho.ndim > 1 else 0.0
+
+    def accumulate(self, x, u):
+        ubar = self.rho[..., None] * u
+        self.cross += ubar[..., :, None, :, None] * x[..., None, :, None, :]
+        gain = (x * ubar).sum(axis=(-2, -1))
+        self.alg_reward += gain if self.rho.ndim > 1 else float(gain)
+
+    def untruthful(self):
+        per_report = self.cross.max(axis=-2).sum(axis=-1)
+        return per_report.max(axis=-1).sum(axis=-1) - self.alg_reward
+
+    def typewise(self):
+        diag = np.einsum("...iiab->...iab", self.cross)
+        return diag.max(axis=-2).sum(axis=(-2, -1)) - self.alg_reward
+
+    def external(self):
+        diag = np.einsum("...iiab->...iab", self.cross)
+        return diag.sum(axis=-1).max(axis=-1).sum(axis=-1) - self.alg_reward
+
+    def witness(self):
+        """(psi, phi, value) of one ledger; ties go to the lowest index within
+        8 ulps of the largest entry."""
+        def first_near_max(values):
+            slack = 8 * np.finfo(float).eps * values.max(axis=-1, keepdims=True)
+            return (values >= values.max(axis=-1, keepdims=True) - slack).argmax(axis=-1)
+        per_report = self.cross.max(axis=2).sum(axis=2)
+        psi = first_near_max(per_report)
+        phi = first_near_max(self.cross[np.arange(psi.size), psi].transpose(0, 2, 1))
+        return psi, phi, float(per_report.max(axis=1).sum()) - self.alg_reward
+
+
 def all_phi_maps(k, m):
     """Every action swap as an (N, k, m) index array."""
     return np.array(list(itertools.product(range(m), repeat=k * m)),
@@ -439,6 +480,15 @@ def _reference_power_fixed_point(dense, seed, tol, cap):
             last_check = best
         x = qx
     return x, best, cap
+
+
+def reference_power_fixed_points(dense, seed, tol, cap):
+    """The per-sweep power iteration entry by entry on a (B, n, n) stack:
+    (B, n) iterates, (B,) residuals and the sweep at which the last entry
+    stopped."""
+    runs = [_reference_power_fixed_point(d, s, tol, cap) for d, s in zip(dense, seed)]
+    return (np.stack([r[0] for r in runs]), np.array([r[1] for r in runs]),
+            max(r[2] for r in runs))
 
 
 def _reference_solve_fixed_point(dense, k, m):

@@ -2,7 +2,9 @@
 or a confident number."""
 
 import json
+import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commeq import cli, errors, fixtures
+from commeq import cli, dynamics, errors, fixtures
+from commeq.adversary import build_instance
 from commeq.cli import main
-from commeq.dynamics import DynamicsConfig, run_dynamics
-from commeq.errors import BadInput, CommeqError, RewardOutOfRange, SupportTooLarge
+from commeq.dynamics import SAMPLE_CAP, DynamicsConfig, run_dynamics, sample_count
+from commeq.errors import (BadInput, CommeqError, EnumerationTooLarge, RewardOutOfRange,
+                           SupportTooLarge)
 from commeq.game import (SUM_TOL_DERIVED, BayesianGame, StrategyDistribution, PriorModel,
                          game_to_json_dict, load_game, save_game, validate_game)
 from commeq.learners import (StrategySwapLearner, TypewiseSwapLearner, UntruthfulSwapLearner,
@@ -305,6 +309,70 @@ def test_huge_strategy_space_is_a_cap_error_not_a_crash(tmp_path, capsys):
         StrategyDistribution.create((k,), (2,), [1.0])
     with pytest.raises(SupportTooLarge):
         strategy_representable(np.full((k, 2), 0.5 / k))
+
+
+def _no_draws_and_little_memory(monkeypatch, run):
+    """Run ``run()`` with every Monte-Carlo draw forbidden; return its result
+    and the peak memory it traced."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("drew samples")
+    monkeypatch.setattr(dynamics, "sampled_reward", forbidden)
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("eps, code, words", [("inf", 1, "finite eps"), ("nan", 1, "finite eps"),
+                                              ("1e-200", 2, "cap"), ("1e-5", 2, "cap")])
+def test_sampled_budget_is_checked_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                   eps, code, words):
+    """A non-finite eps is bad input; an eps whose budget passes the sample
+    cap (1e-200 squares to 0, 1e-5 asks for about 5e11 samples per entry) is
+    a cap error.  Both fail before a sample is drawn or allocated."""
+    got, peak = _no_draws_and_little_memory(monkeypatch, lambda: main(
+        ["simulate", MATCHING, "-T", "3", "--reward", "sampled", "--eps", eps,
+         "--out-dir", str(tmp_path / "o")]))
+    err = capsys.readouterr().err
+    assert got == code and words in err and peak < 2**22
+    with pytest.raises(BadInput if code == 1 else SupportTooLarge):
+        sample_count(float(eps), 0.05, 2, 3, 4)
+
+
+def test_sample_cap_leaves_the_budgets_below_it_alone():
+    count = sample_count(0.004, 0.05, 2, 3, 4)
+    assert count == math.ceil(8.0 / 0.004**2 * math.log(2.0 * 2 * 3 * 4 / 0.05))
+    assert SAMPLE_CAP / 4 < count <= SAMPLE_CAP
+
+
+def test_adversary_stream_past_its_cap_is_a_cap_error(capsys):
+    """B = 30 would ask for tens of GB of tables; the cap fires first."""
+    tracemalloc.start()
+    try:
+        code = main(["adversary", "-B", "30", "-T", "30"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and "cap" in err and peak < 2**22
+    with pytest.raises(EnumerationTooLarge):
+        build_instance(10**6, 10**6, 0)
+
+
+def test_negative_seed_runs_as_its_value_modulo_2_64(tmp_path, capsys):
+    """adversary and simulate both take --seed -1 as the seed 2^64 - 1."""
+    outputs = []
+    for seed in ("-1", str(2**64 - 1)):
+        assert main(["adversary", "-B", "2", "-T", "40", "--seed", seed]) == 0
+        out = tmp_path / seed
+        assert main(["simulate", MATCHING, "-T", "5", "--reward", "sampled", "--eps", "0.5",
+                     "--seed", seed, "--out-dir", str(out)]) == 0
+        outputs.append((capsys.readouterr().out.replace(str(out), "OUT"),
+                        (out / "equilibrium.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert np.array_equal(build_instance(2, 40, -1).rewards,
+                          build_instance(2, 40, 2**64 - 1).rewards)
 
 
 BAD_ENTRIES = st.sampled_from([np.nan, np.inf, -np.inf, -0.5, -1e-6, 1 + 1e-6, 3.0])

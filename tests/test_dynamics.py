@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -270,3 +271,15 @@ def test_bad_learner_kind():
     game = fixtures.matching_game()
     with pytest.raises(BadInput):
         run_dynamics(game, DynamicsConfig(horizon=5, learners="nope"))
+
+
+def test_equilibrium_json_bytes_equal_json_dump(tmp_path):
+    """The writer goes through json.dumps (the C encoder) and must write the
+    bytes json.dump (the pure-Python encoder) writes."""
+    result = run_dynamics(fixtures.matching_game(), DynamicsConfig(horizon=40))
+    path = tmp_path / "equilibrium.json"
+    dynamics.write_equilibrium_json(str(path), result)
+    with open(tmp_path / "dumped.json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(dynamics.result_to_json_dict(result), fh, sort_keys=True)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()

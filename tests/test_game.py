@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -6,9 +9,9 @@ from commeq.errors import BadInput, SupportTooLarge, ZeroMassType
 from commeq.game import (BayesianGame, MixtureDistribution, PriorModel,
                          StrategyDistribution, conditional_prior,
                          decode_strategy_profile, encode_strategy_profile,
-                         game_from_json_dict, game_to_json_dict, mixture_eval,
+                         game_from_json_dict, game_to_json_dict, load_game, mixture_eval,
                          mixture_to_tabular, strategy_space_size,
-                         strategy_to_mixture, uniform_policy, validate_game)
+                         save_game, strategy_to_mixture, uniform_policy, validate_game)
 
 
 def small_game(payoff_value=0.5):
@@ -217,3 +220,16 @@ def test_json_roundtrip_tabular_prior():
     game = fixtures.correlated_coarse_game()
     back = game_from_json_dict(game_to_json_dict(game))
     assert np.allclose(back.prior.table, game.prior.table)
+
+
+@pytest.mark.parametrize("name", ["first_price_auction", "guessing_game"])
+def test_save_game_bytes_equal_json_dump(tmp_path, name):
+    """save_game goes through json.dumps (the C encoder) and must write the
+    bytes json.dump (the pure-Python encoder) writes."""
+    game = load_game(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                                  f"{name}.json"))
+    save_game(game, str(tmp_path / "saved.json"))
+    with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
+        json.dump(game_to_json_dict(game), fh, sort_keys=True)
+        fh.write("\n")
+    assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
