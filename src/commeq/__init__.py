@@ -19,7 +19,7 @@ from .regret import (RegretLedger, accumulate, external_regret, strategy_regret,
                      untruthful_witness)
 from .dynamics import (DynamicsConfig, RunResult, empirical_distribution,
                        exact_reward, run_dynamics, sample_count, sampled_reward)
-from .verifier import (DeviationGainTensor, EquilibriumCertificate,
+from .verifier import (EquilibriumCertificate,
                        anf_bs_epsilon, bne_epsilon, coarse_epsilon,
                        comm_eq_epsilon, conditional_independence,
                        deviation_tensor, sfce_epsilon, strategy_representable)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDims, BadInput, EnumerationTooLarge
+from .game import open_output
 from .learners import TypewiseSwapLearner, UntruthfulSwapLearner
 from .regret import (RegretLedger, accumulate, untruthful_bound,
                      untruthful_regret)
@@ -173,7 +174,7 @@ def run_experiment(inst: LowerBoundInstance, learner: str = "untruthful",
 
 
 def write_stream_csv(path: str, inst: LowerBoundInstance) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         fh.write("t,theta,reward_a0\n")
         for t in range(inst.horizon):
             for theta in range(inst.num_types):

@@ -105,7 +105,10 @@ def cmd_simulate(args) -> int:
         threads=args.threads,
     )
     result = run_dynamics(game, config)
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise BadInput(f"cannot make output directory {args.out_dir}: {exc}") from exc
     write_regret_csv(os.path.join(args.out_dir, "regret.csv"), result.curve)
     write_equilibrium_json(os.path.join(args.out_dir, "equilibrium.json"), result)
     write_certificate_txt(os.path.join(args.out_dir, "certificate.txt"), result, game)
@@ -115,6 +118,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.klass != "representable" and not args.tol >= 0:     # NaN fails too
+        raise BadInput(f"--tol must be a number >= 0, not {args.tol!r}")
     game = _checked_game(args.game, load_game(args.game))
     dist = load_distribution(args.distribution, game)
     if args.klass == "representable":
@@ -175,8 +180,9 @@ def cmd_poa(args) -> int:
     try:
         spec = SmoothnessSpec.create(spec_doc["lambda"], spec_doc["mu"],
                                      spec_doc["mode"], spec_doc["deviation"])
-    except KeyError as exc:
-        raise BadInput(f"{args.spec}: missing field {exc}") from exc
+    except (KeyError, TypeError) as exc:     # TypeError: the spec is not an object
+        raise BadInput(f"{args.spec}: a smoothness spec is an object with lambda, mu,"
+                       f" mode and deviation; {exc!r}") from exc
     target = game
     if spec.mode == "mechanism":
         try:

@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadDims, BadInput, SupportTooLarge
-from .game import BayesianGame, MixtureDistribution, expected_rewards
+from .game import (DEFAULT_ENUMERATION_CAP, BayesianGame, MixtureDistribution,
+                   expected_rewards, open_output)
 from .learners import StrategySwapLearner, TypewiseSwapLearner, UntruthfulSwapLearner
 from .regret import (RegretLedger, accumulate, external_regret, typewise_regret,
                      untruthful_bound, untruthful_regret)
 
-DEFAULT_ENUMERATION_CAP = 10**7
 SAMPLE_CAP = 2**22               # Monte-Carlo samples per (type, oracle call)
 
 LEARNER_KINDS = ("untruthful", "typewise", "strategy-swap")
@@ -43,7 +43,6 @@ class DynamicsConfig:
     seed: int = 0
     threads: int = 1
     curve_stride: int = 1               # 0 disables the per-round regret curve
-    thin_stride: int = 1                # >1 stores every k-th component (approximation!)
 
     def learner_kinds(self, n: int) -> tuple[str, ...]:
         kinds = (self.learners,) * n if isinstance(self.learners, str) else tuple(self.learners)
@@ -180,8 +179,6 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
     t_max = int(config.horizon)
     if t_max < 1:
         raise BadDims("horizon must be >= 1")
-    if config.thin_stride > 1 and t_max % config.thin_stride != 0:
-        raise BadDims("thin_stride must divide the horizon")
     if config.threads < 1:
         raise BadInput("threads must be >= 1")
     if config.reward_mode not in REWARD_MODES:
@@ -249,7 +246,7 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
     for g in groups:
         for i, ledger in zip(g.players, g.ledger.entries()):
             ledgers[i] = ledger
-    mixture = _trace_to_mixture(policy_trace, t_max, config.thin_stride)
+    mixture = MixtureDistribution.from_stacked(np.full(t_max, 1.0 / t_max), policy_trace)
     regrets = [untruthful_regret(led) for led in ledgers]
     certificate = max(0.0, max(r / t_max for r in regrets))
     curve = np.asarray(curve_rows) if curve_rows else np.empty((0, 6))
@@ -257,15 +254,6 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
     sampling = (config.epsilon / 2, 1 - config.delta) if sampled else None
     return RunResult(mixture, ledgers, certificate, regrets, curve, t_max, sigma_traces,
                      sampling)
-
-
-def _trace_to_mixture(policy_trace, t_max: int, thin: int) -> MixtureDistribution:
-    if thin <= 1:
-        weights = np.full(t_max, 1.0 / t_max)
-        return MixtureDistribution.from_stacked(weights, policy_trace)
-    keep = np.arange(thin - 1, t_max, thin)
-    weights = np.full(keep.size, thin / t_max)
-    return MixtureDistribution.from_stacked(weights, [p[keep] for p in policy_trace])
 
 
 def empirical_distribution(profiles) -> MixtureDistribution:
@@ -278,7 +266,7 @@ def empirical_distribution(profiles) -> MixtureDistribution:
 # serialization
 
 def write_regret_csv(path: str, curve: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         fh.write("t,player,external,typewise,untruthful,bound\n")
         for row in curve:
             vals = ",".join(repr(float(v)) for v in row[2:])
@@ -300,7 +288,7 @@ def result_to_json_dict(result: RunResult) -> dict:
 
 
 def write_equilibrium_json(path: str, result: RunResult) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         fh.write(json.dumps(result_to_json_dict(result), sort_keys=True))   # C encoder
         fh.write("\n")
 
@@ -308,7 +296,7 @@ def write_equilibrium_json(path: str, result: RunResult) -> None:
 def write_certificate_txt(path: str, result: RunResult, game: BayesianGame) -> None:
     bound = max(untruthful_bound(result.horizon, game.num_types[i], game.num_actions[i])
                 for i in range(game.n)) / result.horizon
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         fh.write(f"epsilon = {result.certificate!r}\n")
         fh.write(f"worst_case_bound_at_T = {bound!r}\n")
         fh.write(f"horizon = {result.horizon}\n")

@@ -22,6 +22,11 @@ SUM_TOL_INGEST = 1e-12
 SUM_TOL_DERIVED = 1e-9
 
 DEFAULT_STRATEGY_CAP = 10**6
+# opponent (theta_j, a_j) cells of one reward matrix, checked by reward_matrix
+DEFAULT_ENUMERATION_CAP = 10**7
+# strategies an explicit strategy-set computation enumerates: |S| of the
+# strategy classes and strategy regret, and the representability LP's columns
+DEFAULT_LP_CAP = 10**4
 
 # partial-sum cells expected_rewards holds per block of mixture components (8 MB)
 CONTRACT_BLOCK_CELLS = 2**20
@@ -138,12 +143,17 @@ class BayesianGame:
         tl = tuple(tuple(str(x) for x in labels) for labels in type_labels)
         al = tuple(tuple(str(x) for x in labels) for labels in action_labels)
         n = len(tl)
-        if len(al) != n or prior.n != n:
-            raise BadInput("player counts of types, actions and prior disagree")
+        if n == 0:
+            raise BadInput("a game needs at least one player")
+        if len(al) != n or prior.n != n or len(payoffs) != n:
+            raise BadInput("player counts of types, actions, prior and payoffs disagree")
         if any(len(x) == 0 for x in tl) or any(len(x) == 0 for x in al):
             raise BadInput("every player needs at least one type and one action")
         shape = tuple(len(x) for x in tl) + tuple(len(x) for x in al)
-        ps = tuple(np.asarray(p, dtype=float).reshape(shape) for p in payoffs)
+        try:
+            ps = tuple(np.asarray(p, dtype=float).reshape(shape) for p in payoffs)
+        except (TypeError, ValueError) as exc:
+            raise BadInput(f"each payoff table must hold {math.prod(shape)} numbers: {exc}") from exc
         return BayesianGame(n, tl, al, prior, ps, payoff_scope)
 
     @property
@@ -530,24 +540,35 @@ def game_to_json_dict(game: BayesianGame) -> dict:
 
 def game_from_json_dict(doc: dict) -> BayesianGame:
     try:
-        n = int(doc["players"])
-        types = doc["types"]
-        actions = doc["actions"]
-        prior_doc = doc["prior"]
-        payoffs = doc["payoffs"]
-        scope = doc.get("payoff_scope", "full")
+        n, types, actions, prior_doc, payoffs = (
+            doc[key] for key in ("players", "types", "actions", "prior", "payoffs"))
     except (KeyError, TypeError) as exc:
         raise BadInput(f"game file missing field: {exc}") from exc
-    if len(types) != n or len(actions) != n or len(payoffs) != n:
-        raise BadInput("game file: per-player lists disagree with player count")
-    num_types = tuple(len(t) for t in types)
-    if prior_doc.get("kind") == "product":
-        prior = PriorModel.product(prior_doc["rows"])
-    elif prior_doc.get("kind") == "tabular":
-        prior = PriorModel.tabular(np.asarray(prior_doc["table"], dtype=float), num_types)
-    else:
-        raise BadInput(f"unknown prior kind {prior_doc.get('kind')!r}")
-    return BayesianGame.create(types, actions, prior, payoffs, scope)
+    if not (type(n) is int and isinstance(types, list) and isinstance(actions, list)
+            and len(types) == n and all(isinstance(x, list) for x in types + actions)):
+        raise BadInput("game file: players is an integer, and types and actions hold one"
+                       " list of labels per player")
+    kind = prior_doc.get("kind") if isinstance(prior_doc, dict) else None
+    try:
+        if kind == "product" and isinstance(prior_doc.get("rows"), list):
+            prior = PriorModel.product(prior_doc["rows"])
+        elif kind == "tabular":
+            prior = PriorModel.tabular(np.asarray(prior_doc["table"], dtype=float),
+                                       tuple(len(t) for t in types))
+        else:
+            raise BadInput("game file: the prior is a product one with a list of rows"
+                           " or a tabular one with a table")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadInput(f"game file: prior does not fit the types: {exc!r}") from exc
+    return BayesianGame.create(types, actions, prior, payoffs, doc.get("payoff_scope", "full"))
+
+
+def open_output(path: str):
+    """``path`` opened for writing text; a path that cannot be written is bad input."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise BadInput(f"cannot write {path}: {exc}") from exc
 
 
 def load_game(path: str) -> BayesianGame:
@@ -564,6 +585,6 @@ def load_game(path: str) -> BayesianGame:
 def save_game(game: BayesianGame, path: str) -> None:
     # json.dumps runs the C encoder; json.dump to a file writes the same bytes
     # through the pure-Python one
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(json.dumps(game_to_json_dict(game), sort_keys=True))
         fh.write("\n")

@@ -38,7 +38,13 @@ class SmoothnessSpec:
             raise BadInput("need finite lambda > 0 and mu >= 0")
         if mode not in ("game", "mechanism"):
             raise BadInput(f"unknown smoothness mode {mode!r}")
-        return SmoothnessSpec(lam, mu, mode, tuple(np.asarray(d, dtype=np.int64) for d in deviation))
+        try:
+            dev = tuple(np.asarray(d, dtype=float) for d in deviation)
+        except (TypeError, ValueError) as exc:
+            raise BadInput(f"deviation must hold one action-index table per player: {exc}") from exc
+        if not all(((d == np.trunc(d)) & (np.abs(d) < 2**31)).all() for d in dev):  # NaN fails
+            raise BadInput("deviation entries must be integer action indices")
+        return SmoothnessSpec(lam, mu, mode, tuple(d.astype(np.int64) for d in dev))
 
 
 @dataclass(frozen=True)
@@ -217,6 +223,8 @@ def poa_report(game, dist, spec: SmoothnessSpec, eps_tol: float = 0.01) -> PoaRe
     epsilon exceeds ``eps_tol``, and refuses smoothness specs that fail
     enumeration.  A zero optimal welfare reports ratio 1 by convention.
     """
+    if not eps_tol >= 0:                                  # NaN fails too
+        raise BadInput(f"eps_tol must be a number >= 0, not {eps_tol!r}")
     smooth = check_smoothness(game, spec)
     if not smooth.passed:
         raise BadInput(f"smoothness spec fails at {smooth.witness} "

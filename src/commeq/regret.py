@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import AuditError, BadInput, SupportTooLarge
-from .game import prior_rows, strategy_table
+from .game import DEFAULT_LP_CAP, prior_rows, strategy_table
 
 NEGATIVE_REGRET_TOL = 1e-9
 EPS = float(np.finfo(float).eps)
@@ -160,14 +160,16 @@ def untruthful_witness(ledger: RegretLedger) -> tuple[np.ndarray, np.ndarray, fl
     up to float dust.
 
     Reports and actions both break ties toward the lowest ordinal within
-    float dust (``first_near_max``); the cross entries are sums of
-    nonnegative terms, so each is its own magnitude.
+    float dust (``first_near_max``).  A run's cross entries are sums of
+    nonnegative terms, so each is its own magnitude; the absolute values only
+    matter for a verifier ledger built from a distribution with negative dust.
     """
-    per_report = ledger.cross.max(axis=2).sum(axis=2)   # (K, K'), sums of entries >= 0
-    psi = first_near_max(per_report, per_report)
+    best = ledger.cross.max(axis=2)                      # (K, K', M_a')
+    per_report = best.sum(axis=2)                        # (K, K')
+    psi = first_near_max(per_report, np.abs(best).sum(axis=2))
     k = psi.size
     chosen = ledger.cross[np.arange(k), psi].transpose(0, 2, 1)     # (K, M_a', M_a)
-    phi = first_near_max(chosen, chosen)
+    phi = first_near_max(chosen, np.abs(chosen))
     value = float(per_report.max(axis=1).sum()) - ledger.alg_reward
     return psi, phi, value
 
@@ -187,7 +189,7 @@ def audit_ledger(ledger: RegretLedger, tol: float = 1e-9) -> None:
         raise AuditError("negative cross-tensor entry")
 
 
-def strategy_regret(sigmas, rewards, prior_row, cap: int = 10**4) -> float:
+def strategy_regret(sigmas, rewards, prior_row, cap: int = DEFAULT_LP_CAP) -> float:
     """Exact strategy swap regret of a played trace of strategy distributions.
 
     ``sigmas`` is (T, |S|) over the mixed-radix strategy set, ``rewards`` is

@@ -1,11 +1,13 @@
 """Exact equilibrium auditing of play distributions.
 
-Deviation gains for every equilibrium class are computed from one exact
-tensor per player: G[theta, theta', a', a] is the expected payoff of
-reporting theta', receiving recommendation a', and playing a, when the true
-type is theta.  All incentive maxima then decompose per true type and per
-recommended action, mirroring the regret ledger, so certificates are
-polynomial to produce and carry replayable witnesses.
+Deviation gains for every type-wise equilibrium class come from one ledger
+per player: ``deviation_tensor`` builds player i's ``RegretLedger`` from the
+distribution alone.  Its cross[theta, theta', a, a'] is the prior-weighted
+expected payoff to true type theta of playing a when the report theta' is
+recommended a', and its alg_reward is the truthful value.  The ledger's
+untruthful witness and type-wise regret are the comm and anf-bs gains, so the
+verifier shares every max-decomposition and tie rule with the regret audit
+of a run while building its tensor from the mixture, not from the run.
 """
 
 from __future__ import annotations
@@ -15,38 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditError, BadInput, SupportTooLarge
-from .game import (BayesianGame, MixtureDistribution, StrategyDistribution,
-                   decode_strategy_profile, expected_rewards, mixture_to_tabular, reward_axes,
-                   strategy_space_size, strategy_space_size_under)
-from .regret import first_near_max
+from .game import (DEFAULT_ENUMERATION_CAP, DEFAULT_LP_CAP, BayesianGame,
+                   MixtureDistribution, StrategyDistribution, decode_strategy_profile,
+                   expected_rewards, mixture_to_tabular, reward_axes, strategy_space_size,
+                   strategy_space_size_under)
+from .regret import RegretLedger, first_near_max, typewise_regret, untruthful_witness
 from .simplexlp import solve_equality_feasibility
 
-DEFAULT_LP_CAP = 10**4
-DEFAULT_ENUM_CAP = 10**7
 WITNESS_TOL = 1e-9
-
-EQ_CLASSES = ("comm", "anf-bs", "bne", "coarse-bs", "sfce", "sfcce", "anfcce")
-
-
-@dataclass(frozen=True)
-class DeviationGainTensor:
-    """G[theta, theta', a', a] plus the truthful value for one player."""
-
-    player: int
-    gains: np.ndarray        # (K, K, M, M)
-    truthful: float
-    rho: np.ndarray          # (K,) the player's type marginal
-
-    def replay(self, psi, phi) -> float:
-        """Deviation value minus truthful value for a concrete (psi, phi)."""
-        k, m = self.gains.shape[0], self.gains.shape[2]
-        psi = np.asarray(psi, dtype=np.int64)
-        phi = np.asarray(phi, dtype=np.int64)
-        value = 0.0
-        for theta in range(k):
-            for b in range(m):
-                value += self.rho[theta] * self.gains[theta, psi[theta], b, phi[theta, b]]
-        return value - self.truthful
 
 
 @dataclass(frozen=True)
@@ -78,8 +56,8 @@ class EquilibriumCertificate:
 
 
 def deviation_tensor(game: BayesianGame, i: int, dist,
-                     cap: int = DEFAULT_ENUM_CAP) -> DeviationGainTensor:
-    """Exact deviation-gain tensor, contracted against ``game.reward_matrix(i)``.
+                     cap: int = DEFAULT_ENUMERATION_CAP) -> RegretLedger:
+    """Player i's deviation ledger, contracted against ``game.reward_matrix(i)``.
 
     ``dist`` is a mixture or an explicit array over (Theta..., A...).
     """
@@ -89,16 +67,18 @@ def deviation_tensor(game: BayesianGame, i: int, dist,
         others = [p for j, p in enumerate(dist.policies) if j != i]
         per_round = expected_rewards(game, i, others, cap).reshape(-1, k * m)
         flat = (dist.weights[:, None] * per_round).T @ dist.policies[i].reshape(-1, k * m)
+    elif isinstance(dist, StrategyDistribution):
+        raise BadInput("type-wise classes audit a tabular or mixture distribution")
     else:
         w = game.reward_matrix(i, cap)
         pi = np.asarray(dist, dtype=float)
         if pi.shape != nt + na:
             raise BadInput(f"tabular distribution must have shape {nt + na}")
         flat = w @ pi.transpose(reward_axes(game.n, i)).reshape(k * m, -1).T
-    gains = flat.reshape(k, m, k, m).transpose(0, 2, 3, 1)    # flat is ((theta, a), (theta', b))
+    gains = flat.reshape(k, m, k, m)       # ((theta, a), (theta', a')): the ledger's store
     rho = game.prior.marginals[i]
-    truthful = float((rho * np.einsum("iibb->ib", gains).sum(axis=1)).sum())
-    return DeviationGainTensor(i, gains, truthful, rho)
+    truthful = float((rho * np.einsum("iaia->ia", gains).sum(axis=1)).sum())
+    return RegretLedger(rho, (rho[:, None, None, None] * gains).swapaxes(1, 2), truthful)
 
 
 def _certify(klass, gains_witnesses, representable=None, product_gap=None):
@@ -107,24 +87,17 @@ def _certify(klass, gains_witnesses, representable=None, product_gap=None):
                                   representable, product_gap)
 
 
-def comm_eq_epsilon(game: BayesianGame, dist, cap: int = DEFAULT_ENUM_CAP
+def comm_eq_epsilon(game: BayesianGame, dist, cap: int = DEFAULT_ENUMERATION_CAP
                     ) -> EquilibriumCertificate:
     """Best (type misreport, action swap) advantage per player, clamped at 0."""
     devs = []
     for i in range(game.n):
-        tensor = deviation_tensor(game, i, dist, cap)
-        weighted = tensor.rho[:, None, None, None] * tensor.gains
-        best = weighted.max(axis=3)
-        per_report = best.sum(axis=2)                     # (K, K')
-        psi = first_near_max(per_report, np.abs(best).sum(axis=2))
-        chosen = weighted[np.arange(psi.size), psi]       # (K, M_b, M_a)
-        phi = first_near_max(chosen, np.abs(chosen))
-        gain = float(per_report.max(axis=1).sum()) - tensor.truthful
+        psi, phi, gain = untruthful_witness(deviation_tensor(game, i, dist, cap))
         devs.append(PlayerDeviation(i, gain, {"psi": psi.tolist(), "phi": phi.tolist()}))
     return _certify("comm", devs)
 
 
-def anf_bs_epsilon(game: BayesianGame, dist, cap: int = DEFAULT_ENUM_CAP,
+def anf_bs_epsilon(game: BayesianGame, dist, cap: int = DEFAULT_ENUMERATION_CAP,
                    check_representability: bool = True,
                    lp_cap: int = DEFAULT_LP_CAP) -> EquilibriumCertificate:
     """Action-swap-only advantage (truthful reporting pinned).
@@ -135,12 +108,10 @@ def anf_bs_epsilon(game: BayesianGame, dist, cap: int = DEFAULT_ENUM_CAP,
     """
     devs = []
     for i in range(game.n):
-        tensor = deviation_tensor(game, i, dist, cap)
-        diag = np.einsum("iiba->iba", tensor.gains)       # (K, M_b, M_a)
-        weighted = tensor.rho[:, None, None] * diag
-        phi = first_near_max(weighted, np.abs(weighted))
-        gain = float(weighted.max(axis=2).sum()) - tensor.truthful
-        devs.append(PlayerDeviation(i, gain, {"phi": phi.tolist()}))
+        ledger = deviation_tensor(game, i, dist, cap)
+        diag = np.einsum("iiab->iba", ledger.cross)        # (K, M_rec, M_played)
+        phi = first_near_max(diag, np.abs(diag))
+        devs.append(PlayerDeviation(i, typewise_regret(ledger), {"phi": phi.tolist()}))
     representable = None
     if check_representability:
         try:
@@ -151,7 +122,7 @@ def anf_bs_epsilon(game: BayesianGame, dist, cap: int = DEFAULT_ENUM_CAP,
     return _certify("anf-bs", devs, representable)
 
 
-def bne_epsilon(game: BayesianGame, dist, cap: int = DEFAULT_ENUM_CAP
+def bne_epsilon(game: BayesianGame, dist, cap: int = DEFAULT_ENUMERATION_CAP
                 ) -> EquilibriumCertificate:
     """Bayes Nash check in the agent normal form: action-swap gains plus a
     type-wise-product test on the distribution itself."""
@@ -185,7 +156,7 @@ def typewise_product_gap(pi: np.ndarray, n: int) -> float:
 
 
 def coarse_epsilon(game: BayesianGame, dist, klass: str,
-                   cap: int = DEFAULT_ENUM_CAP,
+                   cap: int = DEFAULT_ENUMERATION_CAP,
                    strategy_cap: int = DEFAULT_LP_CAP) -> EquilibriumCertificate:
     """Coarse classes: fixed deviations that ignore the recommendation.
 
@@ -195,16 +166,13 @@ def coarse_epsilon(game: BayesianGame, dist, klass: str,
     if klass == "coarse-bs":
         devs = []
         for i in range(game.n):
-            tensor = deviation_tensor(game, i, dist, cap)
-            diag = np.einsum("iiba->iba", tensor.gains)
-            dev_value = diag.sum(axis=1)                   # (K, M_dev)
+            diag = np.einsum("iiab->iba", deviation_tensor(game, i, dist, cap).cross)
             truthful_by_type = np.einsum("ibb->ib", diag).sum(axis=1)
-            gains = tensor.rho[:, None] * (dev_value - truthful_by_type[:, None])
-            magnitude = tensor.rho[:, None] * (np.abs(diag).sum(axis=1)
-                                               + np.abs(truthful_by_type)[:, None])
+            gains = diag.sum(axis=1) - truthful_by_type[:, None]     # (K, M_dev)
+            magnitude = np.abs(diag).sum(axis=1) + np.abs(truthful_by_type)[:, None]
             devs.append(PlayerDeviation(i, *_joint_coarse(gains, magnitude)))
         return _certify("coarse-bs", devs)
-    if klass not in ("sfcce", "anfcce", "sfce"):
+    if klass not in ("sfcce", "anfcce"):
         raise BadInput(f"unknown coarse class {klass!r}")
     if not isinstance(dist, StrategyDistribution):
         raise BadInput(f"class {klass!r} audits an explicit strategy distribution")

@@ -1,9 +1,12 @@
 """Invalid inputs end in a typed error with its exit code, never a traceback
 or a confident number."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -447,3 +450,225 @@ def test_every_error_class_has_its_exit_code(cls, capsys, monkeypatch):
     assert code == EXIT_CODES[cls.__name__]
     prefix = "internal error: " if code == 3 else "error: "
     assert err == f"{prefix}{exc}\n"
+
+
+AUCTION = os.path.join(FIXTURES, "first_price_auction.json")
+AUCTION_SPEC = os.path.join(FIXTURES, "auction_smoothness.json")
+
+
+@pytest.fixture(scope="module")
+def auction_run(tmp_path_factory):
+    """equilibrium.json of a T = 50 auction run, whose eps (about 0.1) is
+    above poa's default tolerance."""
+    out = tmp_path_factory.mktemp("auction")
+    assert main(["simulate", AUCTION, "-T", "50", "--out-dir", str(out)]) == 0
+    return str(out / "equilibrium.json")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "-inf"])
+def test_nan_or_negative_tolerance_is_bad_input(capsys, auction_run, tol):
+    """A NaN tolerance made every eps > tol comparison false, so poa reported
+    bound_satisfied on a run whose eps is far above the default tolerance."""
+    assert main(["poa", AUCTION, auction_run, AUCTION_SPEC]) == 4
+    capsys.readouterr()
+    for argv in (["poa", AUCTION, auction_run, AUCTION_SPEC, f"--eps-tol={tol}"],
+                 ["verify", AUCTION, auction_run, f"--tol={tol}"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and "tol" in captured.err and captured.out == ""
+
+
+def _matching_doc():
+    with open(MATCHING, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+# (path into the matching game's document, malformed value)
+MALFORMED_GAMES = {
+    "prior-list": (("prior",), [1]),
+    "prior-string": (("prior",), "product"),
+    "players-string": (("players",), "x"),
+    "types-int": (("types",), [3, 3]),
+    "payoffs-wrong-length": (("payoffs", 0), [0.5] * 5),
+    "tabular-prior-wrong-length": (("prior",), {"kind": "tabular", "table": [0.5, 0.5]}),
+    "payoffs-non-numeric": (("payoffs", 0), ["a"] * 16),
+    "product-rows-object": (("prior", "rows"), {"a": 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_GAMES))
+def test_malformed_game_file_is_bad_input(tmp_path, capsys, name):
+    doc = _matching_doc()
+    _set(doc, *MALFORMED_GAMES[name])
+    path = write_json(tmp_path / "game.json", doc)
+    assert main(["simulate", path, "-T", "3", "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_game_with_no_players_is_bad_input(tmp_path, capsys):
+    doc = {"players": 0, "types": [], "actions": [], "payoffs": [],
+           "prior": {"kind": "product", "rows": []}}
+    path = write_json(tmp_path / "game.json", doc)
+    assert main(["simulate", path, "-T", "3", "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(BadInput):
+        BayesianGame.create([], [], PriorModel.product([]), [])
+
+
+@pytest.mark.parametrize("path, value", [((), [1, 2]), (("deviation", 0, 0, 0, 0), 0.5),
+                                         (("deviation", 0, 0, 0, 0), "x"), (("deviation",), 5)])
+def test_malformed_smoothness_spec_is_bad_input(tmp_path, capsys, auction_run, path, value):
+    """A spec that is not an object, or whose deviation entries are not
+    integers (0.5 used to be truncated to action 0)."""
+    with open(AUCTION_SPEC, encoding="utf-8") as fh:
+        spec = json.load(fh)
+    if path:
+        _set(spec, path, value)
+    else:
+        spec = value
+    code = main(["poa", AUCTION, auction_run, write_json(tmp_path / "spec.json", spec),
+                 "--eps-tol", "1"])
+    assert code == 1 and capsys.readouterr().err.startswith("error: ")
+
+
+def test_output_paths_that_cannot_be_written_are_bad_input(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    assert main(["simulate", MATCHING, "-T", "3", "--out-dir", str(taken)]) == 1
+    assert "output directory" in capsys.readouterr().err
+    assert main(["adversary", "-B", "2", "-T", "10", "--stream-csv", str(tmp_path)]) == 1
+    assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("klass", ["comm", "anf-bs", "bne", "coarse-bs"])
+def test_strategy_distribution_for_a_typewise_class_is_bad_input(capsys, klass):
+    """Found by the CLI fuzz: a strategy distribution reached the deviation
+    tensor, which failed converting it to an array (exit 3)."""
+    code = main(["verify", os.path.join(FIXTURES, "correlated_coarse_game.json"),
+                 os.path.join(FIXTURES, "correlated_coarse_sigma.json"), "--class", klass])
+    assert code == 1 and "tabular or mixture" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# CLI JSON fuzz: game, distribution and smoothness-spec documents, valid or
+# broken in one place, through every command that reads them
+
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                 st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=2),
+                 st.lists(st.integers(-1, 3), max_size=3),
+                 st.dictionaries(st.sampled_from(["kind", "rows", "table", "values"]),
+                                 st.integers(0, 1), max_size=2))
+
+
+def _paths(doc, prefix=()):
+    """Every path into a JSON document, the root () first."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) \
+        if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _broken(data, doc):
+    """``doc`` with one value (or the whole document) replaced by junk, one
+    number made NaN, infinite or out of range, or one field dropped."""
+    how = data.draw(st.sampled_from(["junk", "number", "drop"]))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return data.draw(JUNK)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if how == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JUNK if how == "junk" else st.sampled_from(
+            [math.nan, math.inf, -math.inf, -0.5, 1.5]))
+    return doc
+
+
+def _game_doc(rng, nt, na, own_type, tabular):
+    n = len(nt)
+    shape = tuple(nt) + tuple(na)
+    payoffs = []
+    for i in range(n):
+        v = rng.integers(0, 5, shape) / 4                     # ties are common
+        if own_type:
+            own = tuple(slice(None) if j == i else slice(0, 1) for j in range(n))
+            v = np.broadcast_to(v[own], shape)
+        payoffs.append(v.reshape(-1).tolist())
+    if tabular:
+        prior = {"kind": "tabular", "table": rng.dirichlet(np.ones(math.prod(nt))).tolist()}
+    else:
+        prior = {"kind": "product", "rows": [rng.dirichlet(np.ones(k)).tolist() for k in nt]}
+    return {"players": n, "types": [[f"t{k}" for k in range(k)] for k in nt],
+            "actions": [[f"a{m}" for m in range(m)] for m in na], "prior": prior,
+            "payoffs": payoffs, "payoff_scope": "own-type" if own_type else "full"}
+
+
+def _distribution_doc(rng, nt, na, kind):
+    if kind == "tabular":
+        values = rng.dirichlet(np.ones(math.prod(na)), size=math.prod(nt))
+        return {"kind": "tabular", "values": values.reshape(-1).tolist()}
+    if kind == "strategy":
+        size = math.prod(m ** k for k, m in zip(nt, na))
+        return {"kind": "strategy", "values": rng.dirichlet(np.ones(size)).tolist()}
+    c = int(rng.integers(1, 4))
+    doc = {"kind": "mixture", "weights": rng.dirichlet(np.ones(c)).tolist(),
+           "policies": [rng.dirichlet(np.ones(m), size=(c, k)).tolist()
+                        for k, m in zip(nt, na)]}
+    return {"mixture": doc} if kind == "simulate-output" else doc
+
+
+def _spec_doc(rng, nt, na, mode):
+    return {"lambda": float(rng.choice([1e-3, 0.5])), "mu": float(rng.choice([0.0, 1e3])),
+            "mode": mode, "deviation": [rng.integers(0, m, tuple(nt) + (m,)).tolist()
+                                        for m in na]}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(nt=st.lists(st.integers(1, 2), min_size=1, max_size=2),
+       na_seed=st.integers(0, 2**16), own_type=st.sampled_from([True, True, False]),
+       tabular=st.sampled_from([True, False, False]),
+       broken=st.sampled_from([None, None, "game.json", "dist.json", "spec.json"]),
+       kind=st.sampled_from(["tabular", "mixture", "strategy", "simulate-output"]),
+       command=st.sampled_from(["verify", "representable", "poa", "simulate"]),
+       klass=st.sampled_from(["comm", "anf-bs", "bne", "coarse-bs", "sfce", "sfcce",
+                              "anfcce"]),
+       tol=st.sampled_from(["1e-9", "0.5", "2", "nan", "-1"]),
+       mode=st.sampled_from(["game", "game", "game", "mechanism"]),
+       learner=st.sampled_from(["untruthful", "typewise", "strategy-swap"]),
+       data=st.data())
+def test_fuzz_cli_json_documents(nt, na_seed, own_type, tabular, broken, kind, command, klass,
+                                 tol, mode, learner, data):
+    """Whatever the documents hold, every command ends with exit 0, 1, 2 or 4
+    and never in an internal error."""
+    rng = np.random.default_rng(na_seed)
+    na = [int(m) for m in rng.integers(1, 4, len(nt))]
+    docs = {"game.json": _game_doc(rng, nt, na, own_type, tabular),
+            "dist.json": _distribution_doc(rng, nt, na, kind),
+            "spec.json": _spec_doc(rng, nt, na, mode)}
+    if broken:
+        docs[broken] = _broken(data, docs[broken])
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in docs.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        game, dist, spec = (os.path.join(tmp, name) for name in docs)
+        argv = {"verify": ["verify", game, dist, "--class", klass, f"--tol={tol}"],
+                "representable": ["representable", game, dist],
+                "poa": ["poa", game, dist, spec, f"--eps-tol={tol}"],
+                "simulate": ["simulate", game, "-T", "2", "--learner", learner,
+                             "--out-dir", os.path.join(tmp, "out")]}[command]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 4), err.getvalue()
+    assert not any(line.startswith("internal error:") for line in err.getvalue().splitlines())
+    assert "Traceback" not in err.getvalue()

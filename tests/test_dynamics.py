@@ -258,15 +258,6 @@ def test_curve_layout_and_bound_column():
     assert np.all(res.curve[:, 4] <= res.curve[:, 5] + 1e-12)
 
 
-def test_thinning_requires_divisor():
-    game = fixtures.matching_game()
-    with pytest.raises(Exception):
-        run_dynamics(game, DynamicsConfig(horizon=10, thin_stride=3))
-    res = run_dynamics(game, DynamicsConfig(horizon=10, thin_stride=5, curve_stride=0))
-    assert res.mixture.num_components == 2
-    assert np.allclose(res.mixture.weights, 0.5)
-
-
 def test_bad_learner_kind():
     game = fixtures.matching_game()
     with pytest.raises(BadInput):

@@ -205,11 +205,12 @@ def test_reward_kernel_matches_einsum_reference(monkeypatch):
                                        rtol=0, atol=1e-13)
             for dist in (mix, tab):
                 got = deviation_tensor(game, i, dist)
-                want = reference_deviation_gains(game, i, dist)
-                np.testing.assert_allclose(got.gains, want, rtol=0, atol=1e-13)
+                want = reference_deviation_gains(game, i, dist)      # (theta, theta', a', a)
                 rho = game.prior.marginals[i]
+                np.testing.assert_allclose(got.cross, rho[:, None, None, None]
+                                           * want.transpose(0, 1, 3, 2), rtol=0, atol=1e-13)
                 truthful = float((rho * np.einsum("iibb->ib", want).sum(axis=1)).sum())
-                assert abs(got.truthful - truthful) <= 1e-13
+                assert abs(got.alg_reward - truthful) <= 1e-13
         spanned += block_cells == 1 and mix.num_components > 1 and game.n > 1
     assert spanned > 0
 

@@ -1,12 +1,11 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from commeq import fixtures, verifier
-from commeq.errors import SupportTooLarge
+from commeq.errors import BadInput, SupportTooLarge
 from commeq.game import (BayesianGame, MixtureDistribution, PriorModel, StrategyDistribution,
-                         mixture_to_tabular, strategy_to_mixture)
+                         expected_rewards, mixture_to_tabular, strategy_to_mixture)
+from commeq.regret import RegretLedger
 from commeq.verifier import (anf_bs_epsilon, bne_epsilon, coarse_epsilon,
                              comm_eq_epsilon, conditional_independence,
                              deviation_tensor, sfce_epsilon,
@@ -45,6 +44,14 @@ def random_game(rng, num_types, num_actions, tabular_prior=False):
     return BayesianGame.create(types, actions, prior, payoffs)
 
 
+def replay(ledger, psi, phi):
+    """Deviation value minus truthful value of a concrete (psi, phi): true type
+    theta reports psi[theta] and plays phi[theta][b] when recommended b."""
+    k, m = ledger.cross.shape[0], ledger.cross.shape[3]
+    value = sum(ledger.cross[th, psi[th], phi[th][b], b] for th in range(k) for b in range(m))
+    return value - ledger.alg_reward
+
+
 # ---------------------------------------------------------------------------
 # deviation tensor
 
@@ -53,24 +60,24 @@ def test_tensor_single_player():
     game = random_game(rng, (2,), (3,))
     pi = rng.random((2, 3))
     pi /= pi.sum(axis=1, keepdims=True)
-    tensor = deviation_tensor(game, 0, pi.reshape(2, 3))
+    ledger = deviation_tensor(game, 0, pi.reshape(2, 3))
     v = game.payoffs[0]
+    rho = game.prior.marginals[0]
     for th in range(2):
         for tp in range(2):
             for b in range(3):
                 for a in range(3):
-                    assert tensor.gains[th, tp, b, a] == pytest.approx(
-                        pi[tp, b] * v[th, a], abs=1e-12)
-    rho = game.prior.marginals[0]
+                    assert ledger.cross[th, tp, a, b] == pytest.approx(
+                        rho[th] * pi[tp, b] * v[th, a], abs=1e-12)
     want = sum(rho[th] * pi[th, a] * v[th, a] for th in range(2) for a in range(3))
-    assert tensor.truthful == pytest.approx(want, abs=1e-12)
+    assert ledger.alg_reward == pytest.approx(want, abs=1e-12)
 
 
 def test_tensor_zero_payoff_player():
     game = fixtures.zero_payoff_game()
     pi = fixtures.nonrepresentable_distribution()
-    tensor = deviation_tensor(game, 0, pi)
-    assert np.all(tensor.gains == 0.0)
+    ledger = deviation_tensor(game, 0, pi)
+    assert np.all(ledger.cross == 0.0)
 
 
 def test_tensor_mixture_equals_tabular():
@@ -81,14 +88,14 @@ def test_tensor_mixture_equals_tabular():
     for i in range(2):
         a = deviation_tensor(game, i, mix)
         b = deviation_tensor(game, i, tab)
-        assert np.allclose(a.gains, b.gains, atol=1e-12)
-        assert a.truthful == pytest.approx(b.truthful, abs=1e-12)
+        assert np.allclose(a.cross, b.cross, atol=1e-12)
+        assert a.alg_reward == pytest.approx(b.alg_reward, abs=1e-12)
 
 
 def test_guessing_game_truthful_value_half():
-    tensor = deviation_tensor(fixtures.guessing_game(), 0,
+    ledger = deviation_tensor(fixtures.guessing_game(), 0,
                               fixtures.guessing_game_distribution())
-    assert tensor.truthful == pytest.approx(0.5, abs=1e-12)
+    assert ledger.alg_reward == pytest.approx(0.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +119,9 @@ def test_comm_witness_replay():
     mix = random_mixture(rng, (2, 3), (2, 2), 5)
     cert = comm_eq_epsilon(game, mix)
     for dev in cert.per_player:
-        tensor = deviation_tensor(game, dev.player, mix)
-        rho = game.prior.marginals[dev.player]
-        psi = np.asarray(dev.witness["psi"])
-        phi = np.asarray(dev.witness["phi"])
-        k, m = tensor.gains.shape[0], tensor.gains.shape[2]
-        replay = sum(rho[th] * tensor.gains[th, psi[th], b, phi[th, b]]
-                     for th in range(k) for b in range(m)) - tensor.truthful
-        assert replay == pytest.approx(dev.gain, abs=1e-9)
+        ledger = deviation_tensor(game, dev.player, mix)
+        assert replay(ledger, dev.witness["psi"], dev.witness["phi"]) == pytest.approx(
+            dev.gain, abs=1e-9)
 
 
 def test_guessing_game_is_comm_equilibrium():
@@ -163,16 +165,56 @@ def test_coarse_witness_replays_to_gain():
     mix = random_mixture(rng, (2, 2), (2, 2), 3)
     cert = coarse_epsilon(game, mix, "coarse-bs")
     for dev in cert.per_player:
-        tensor = deviation_tensor(game, dev.player, mix)
-        rho = game.prior.marginals[dev.player]
-        diag = np.einsum("iiba->iba", tensor.gains)
-        replay = 0.0
+        ledger = deviation_tensor(game, dev.player, mix)
+        diag = np.einsum("iiab->iba", ledger.cross)      # prior-weighted (theta, a', a)
+        value = 0.0
         for theta, action in enumerate(dev.witness["per_type_action"]):
             if action is None:
                 continue
             truthful_theta = sum(diag[theta, b, b] for b in range(diag.shape[1]))
-            replay += rho[theta] * (diag[theta, :, action].sum() - truthful_theta)
-        assert replay == pytest.approx(dev.gain, abs=1e-9)
+            value += diag[theta, :, action].sum() - truthful_theta
+        assert value == pytest.approx(dev.gain, abs=1e-9)
+
+
+def unweighted_coarse_gains(game, i, mix):
+    """coarse-bs gains and magnitudes the way they were computed before the
+    deviation tensor became a ledger: from the unweighted tensor, with the
+    prior weight applied to each difference, rho * (x - y)."""
+    k, m = game.num_types[i], game.num_actions[i]
+    others = [p for j, p in enumerate(mix.policies) if j != i]
+    per_round = expected_rewards(game, i, others).reshape(-1, k * m)
+    flat = (mix.weights[:, None] * per_round).T @ mix.policies[i].reshape(-1, k * m)
+    diag = np.einsum("iiba->iba", flat.reshape(k, m, k, m).transpose(0, 2, 3, 1))
+    rho = game.prior.marginals[i]
+    truthful_by_type = np.einsum("ibb->ib", diag).sum(axis=1)
+    gains = rho[:, None] * (diag.sum(axis=1) - truthful_by_type[:, None])
+    magnitude = rho[:, None] * (np.abs(diag).sum(axis=1) + np.abs(truthful_by_type)[:, None])
+    return gains, magnitude
+
+
+def test_coarse_gains_agree_with_unweighted_formula_to_1e14_relative():
+    """The ledger carries prior-weighted entries, so coarse-bs now subtracts
+    rho x - rho y instead of weighting x - y: each gain moves by at most 1e-14
+    of its magnitude, and every witness is the one the unweighted formula picks."""
+    rng = np.random.default_rng(10)
+    for case in range(40):
+        nt = tuple(int(x) for x in rng.integers(1, 4, 2))
+        na = tuple(int(x) for x in rng.integers(1, 7, 2))
+        game = random_game(rng, nt, na, tabular_prior=case % 2 == 1)
+        mix = random_mixture(rng, nt, na, int(rng.integers(1, 6)))
+        cert = coarse_epsilon(game, mix, "coarse-bs")
+        for dev in cert.per_player:
+            gains, magnitude = unweighted_coarse_gains(game, dev.player, mix)
+            want_gain, want_witness = verifier._joint_coarse(gains, magnitude)
+            assert abs(dev.gain - want_gain) <= 1e-14 * float(magnitude.max(initial=0.0))
+            assert dev.witness == want_witness
+
+
+def test_coarse_epsilon_rejects_sfce():
+    """sfce has one entry point, sfce_epsilon."""
+    game = fixtures.correlated_coarse_game()
+    with pytest.raises(BadInput):
+        coarse_epsilon(game, fixtures.correlated_coarse_sigma(), "sfce")
 
 
 def test_example_bayesian_solution_not_representable():
@@ -325,15 +367,16 @@ def test_comm_witness_is_stable_under_float_dust(monkeypatch):
         nudged = []
 
         def dusty(*args, rng=np.random.default_rng(seed)):
-            tensor = exact(*args)
-            nudged.append(dataclasses.replace(tensor, gains=nudge_one_ulp(tensor.gains, rng)))
+            ledger = exact(*args)
+            nudged.append(RegretLedger(ledger.rho, nudge_one_ulp(ledger.cross, rng),
+                                       ledger.alg_reward))
             return nudged[-1]
         monkeypatch.setattr(verifier, "deviation_tensor", dusty)
         cert = comm_eq_epsilon(game, mix)
-        for dev, tensor in zip(cert.per_player, nudged):
+        for dev, ledger in zip(cert.per_player, nudged):
             assert dev.witness["psi"] == [0] * game.num_types[dev.player]
-            replay = tensor.replay(dev.witness["psi"], dev.witness["phi"])
-            assert abs(replay - dev.gain) <= verifier.WITNESS_TOL
+            value = replay(ledger, dev.witness["psi"], dev.witness["phi"])
+            assert abs(value - dev.gain) <= verifier.WITNESS_TOL
 
 
 def tied_action_game(rng):
@@ -364,20 +407,21 @@ def test_action_witnesses_are_stable_under_float_dust(monkeypatch):
         nudged = []
 
         def dusty(*args, rng=np.random.default_rng(seed)):
-            tensor = exact(*args)
-            nudged.append(dataclasses.replace(tensor, gains=nudge_one_ulp(tensor.gains, rng)))
+            ledger = exact(*args)
+            nudged.append(RegretLedger(ledger.rho, nudge_one_ulp(ledger.cross, rng),
+                                       ledger.alg_reward))
             return nudged[-1]
         monkeypatch.setattr(verifier, "deviation_tensor", dusty)
         comm = comm_eq_epsilon(game, mix)
         anf = anf_bs_epsilon(game, mix, check_representability=False)
         coarse = coarse_epsilon(game, mix, "coarse-bs")
-        comm_tensors, anf_tensors = nudged[:2], nudged[2:4]
+        comm_ledgers, anf_ledgers = nudged[:2], nudged[2:4]
         for i in range(game.n):
             k, m = game.num_types[i], game.num_actions[i]
-            for cert, tensors, psi in ((comm, comm_tensors, comm.per_player[i].witness["psi"]),
-                                       (anf, anf_tensors, list(range(k)))):
+            for cert, ledgers, psi in ((comm, comm_ledgers, comm.per_player[i].witness["psi"]),
+                                       (anf, anf_ledgers, list(range(k)))):
                 dev = cert.per_player[i]
                 assert dev.witness["phi"] == [[0] * m] * k
-                replay = tensors[i].replay(psi, dev.witness["phi"])
-                assert abs(replay - dev.gain) <= verifier.WITNESS_TOL
+                value = replay(ledgers[i], psi, dev.witness["phi"])
+                assert abs(value - dev.gain) <= verifier.WITNESS_TOL
             assert coarse.per_player[i].witness["per_type_action"] == [0] * k
