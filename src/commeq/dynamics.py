@@ -22,12 +22,12 @@ import numpy as np
 
 from .errors import BadDims, BadInput, SupportTooLarge
 from .game import (DEFAULT_ENUMERATION_CAP, BayesianGame, MixtureDistribution,
-                   expected_rewards, open_output)
+                   expected_rewards, open_output, policy_product)
 from .learners import StrategySwapLearner, TypewiseSwapLearner, UntruthfulSwapLearner
 from .regret import (RegretLedger, accumulate, external_regret, typewise_regret,
                      untruthful_bound, untruthful_regret)
 
-SAMPLE_CAP = 2**22               # Monte-Carlo samples per (type, oracle call)
+SAMPLE_CAP = 2**22               # Monte-Carlo samples per entry of a sampled reward
 
 LEARNER_KINDS = ("untruthful", "typewise", "strategy-swap")
 REWARD_MODES = ("exact", "sampled")
@@ -79,8 +79,9 @@ def sample_count(epsilon: float, delta: float, n: int, horizon: int,
 
     BadInput unless eps is finite and positive and 0 < delta < 1;
     SupportTooLarge past SAMPLE_CAP, where an eps whose square underflows
-    asks for infinitely many.  Each type of an oracle call draws this many
-    samples at once, so both checks come before any draw or allocation.
+    asks for infinitely many.  Each type of an oracle call splits this many
+    samples over the opponent cells in one multinomial draw, whose cost grows
+    only slowly with the count; the checks come before any draw.
     """
     if not (0 < epsilon < math.inf and 0 < delta < 1):
         raise BadInput("sampled rewards need a finite eps > 0 and 0 < delta < 1")
@@ -98,41 +99,32 @@ def sampled_reward(game: BayesianGame, i: int, policies, epsilon: float, delta: 
     budget, so it lands within epsilon/4 of the exact value except with the
     per-entry failure probability the budget was sized for.
 
-    Per type of player i: one ``rng.choice`` draws the opponents' types, then
-    one ``rng.random`` per opponent draws its action by inverse CDF.  Every
-    step works on whole sample vectors, so a type costs
-    O(samples x (sum_j |A_j| + |A_i|)) and no (samples, |A|) array is built.
+    The samples of a type theta enter the mean only through how often each
+    opponent cell (theta_-i, a_-i) is drawn, so one ``rng.multinomial`` draws
+    those counts for every type at once from
+    q_theta(theta_-i, a_-i) = rho(theta_-i | theta) * prod_j p_j(a_j | theta_j).
+    A call costs about O(|Theta_i| x cells), growing only slowly with the
+    sample budget.
     """
     nt, na = game.num_types, game.num_actions
     max_ta = max(k * m for k, m in zip(nt, na))
     n_samples = sample_count(epsilon, delta, game.n, horizon, max_ta)
-    others = [j for j in range(game.n) if j != i]
-    other_dims = [nt[j] for j in others]
-    cond = game.prior.conditional_matrix(i)
+    # each action gets the mass an inverse-CDF draw gives it: the row's CDF
+    # steps clipped to [0, 1], with whatever the row lacks on the last action
+    opponents = []
+    for j in range(game.n):
+        if j != i:
+            steps = np.cumsum(policies[j], axis=1, dtype=float)
+            steps[:, -1] = 1.0
+            np.clip(steps, 0.0, 1.0, out=steps)
+            steps[:, 1:] -= steps[:, :-1]
+            opponents.append(steps[None])
+    table = policy_product(np.ones((1, 1, 1)), opponents)[0]            # (T_-i, A_-i)
+    q = (game.prior.conditional_matrix(i)[:, :, None] * table).reshape(nt[i], -1)
+    q /= q.sum(axis=1, keepdims=True)     # so rounding never trips multinomial's check
+    counts = rng.multinomial(n_samples, q).astype(float)
     cells = game.payoff_from_own_view(i).reshape(nt[i], na[i], -1)   # (K_i, M_i, T_-i A_-i)
-    # thresholds[pos][b, theta_j] = P(a_j <= b | theta_j) for b < M_j - 1.  The
-    # policies are nonnegative, so the thresholds below a uniform draw form a
-    # prefix and their count is the drawn action, capped at the last one.
-    thresholds = [np.cumsum(np.asarray(policies[j], dtype=float), axis=1)[:, :-1].T.copy()
-                  for j in others]
-    out = np.empty((nt[i], na[i]))
-    for theta in range(nt[i]):
-        flat = rng.choice(cond.shape[1], size=n_samples, p=cond[theta])
-        type_idx = np.unravel_index(flat, other_dims) if len(others) > 1 else (flat,)
-        for pos, j in enumerate(others):
-            u = rng.random(n_samples)
-            flat = flat * na[j]                 # cell index (theta_-i, a_-i), Horner order
-            for row in thresholds[pos]:
-                flat += row.take(type_idx[pos]) < u
-        payoffs = cells[theta].take(flat, axis=1)                    # (M_i, samples)
-        # the sums of numpy's mean over the sample axis of a (samples, M_i)
-        # array: in draw order per action, or pairwise when M_i == 1
-        if na[i] > 1:
-            total = np.cumsum(payoffs, axis=1, out=payoffs)[:, -1]
-        else:
-            total = payoffs.sum(axis=1)
-        out[theta] = total / n_samples
-    return out
+    return np.einsum("kac,kc->ka", cells, counts) / n_samples
 
 
 def _round_rng(seed: int, player: int, t: int) -> np.random.Generator:

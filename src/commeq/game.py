@@ -477,12 +477,14 @@ class ValidationReport:
 def validate_game(game: BayesianGame) -> ValidationReport:
     """Report every violated game invariant with coordinates; never raises."""
     bad: list[str] = []
+    reported: set[int] = set()          # players with payoffs out of [0, 1]
     nt, na = game.num_types, game.num_actions
     for i, p in enumerate(game.payoffs):
         if p.shape != nt + na:
             bad.append(f"payoff tensor of player {i} has shape {p.shape}, want {nt + na}")
             continue
         if not (p.min() >= -SUM_TOL_INGEST and p.max() <= 1 + SUM_TOL_INGEST):  # NaN fails too
+            reported.add(i)
             where = np.unravel_index(int(np.argmax(np.maximum(p - 1, -p))), p.shape)
             theta = tuple(int(j) for j in where[:game.n])
             act = tuple(int(j) for j in where[game.n:])
@@ -510,6 +512,8 @@ def validate_game(game: BayesianGame) -> ValidationReport:
                 bad.append(f"prior marginal of player {i} has mass {s} != 1")
     if game.payoff_scope == "own-type":
         for i in range(game.n):
+            if i in reported:           # inf - inf in the spread would warn
+                continue
             v = game.payoff_from_own_view(i)  # (|T_i|, |A_i|, |T_-i|, |A_-i|)
             spread = float((v.max(axis=2) - v.min(axis=2)).max(initial=0.0))
             if spread > SUM_TOL_INGEST:
@@ -545,9 +549,10 @@ def game_from_json_dict(doc: dict) -> BayesianGame:
     except (KeyError, TypeError) as exc:
         raise BadInput(f"game file missing field: {exc}") from exc
     if not (type(n) is int and isinstance(types, list) and isinstance(actions, list)
-            and len(types) == n and all(isinstance(x, list) for x in types + actions)):
-        raise BadInput("game file: players is an integer, and types and actions hold one"
-                       " list of labels per player")
+            and len(types) == n and all(isinstance(x, list) for x in types + actions)
+            and isinstance(payoffs, list)):
+        raise BadInput("game file: players is an integer, types and actions hold one"
+                       " list of labels per player, and payoffs is a list")
     kind = prior_doc.get("kind") if isinstance(prior_doc, dict) else None
     try:
         if kind == "product" and isinstance(prior_doc.get("rows"), list):

@@ -411,29 +411,45 @@ def reference_exact_reward(game, i, policies, cap=10**7):
 
 
 def reference_sampled_reward(game, i, policies, epsilon, delta, rng, horizon):
-    """The Monte-Carlo reward oracle drawing one (samples, M_j) row block per
-    opponent and averaging a (samples, M_i) payoff gather."""
+    """The Monte-Carlo reward oracle entry by entry: the mass an inverse-CDF
+    draw gives each action, the cell distribution q per type, one multinomial
+    draw of every type's cell counts, and the count-weighted payoff sums of
+    one type at a time."""
     from commeq.dynamics import sample_count
 
     nt, na = game.num_types, game.num_actions
     max_ta = max(k * m for k, m in zip(nt, na))
     n_samples = sample_count(epsilon, delta, game.n, horizon, max_ta)
-    others = [j for j in range(game.n) if j != i]
-    other_dims = [nt[j] for j in others]
+    draws = []
+    for j in range(game.n):
+        if j == i:
+            continue
+        pj = np.asarray(policies[j], dtype=float)
+        mass = np.empty_like(pj)
+        for theta in range(pj.shape[0]):
+            cdf, below = 0.0, 0.0
+            for b in range(pj.shape[1] - 1):
+                cdf += pj[theta, b]
+                step = min(max(cdf, 0.0), 1.0)      # P(u <= cdf), u uniform in [0, 1)
+                mass[theta, b] = step - below
+                below = step
+            mass[theta, -1] = 1.0 - below
+        draws.append(mass[None])
+    table = _opponent_table(draws)[0]
     cond = game.prior.conditional_matrix(i)
-    v = game.payoff_from_own_view(i)    # (K_i, M_i, T_-i, A_-i)
+    q = np.empty((nt[i],) + table.shape)
+    for theta in range(nt[i]):
+        for tau in range(table.shape[0]):
+            for alpha in range(table.shape[1]):
+                q[theta, tau, alpha] = cond[theta, tau] * table[tau, alpha]
+    q = q.reshape(nt[i], -1)
+    for theta in range(nt[i]):
+        q[theta] = q[theta] / q[theta].sum()
+    counts = rng.multinomial(n_samples, q).astype(float)
+    v = game.payoff_from_own_view(i).reshape(nt[i], na[i], -1)
     out = np.empty((nt[i], na[i]))
     for theta in range(nt[i]):
-        flat_types = rng.choice(cond.shape[1], size=n_samples, p=cond[theta])
-        type_idx = np.unravel_index(flat_types, other_dims) if others else ()
-        flat_actions = np.zeros(n_samples, dtype=np.int64)
-        for pos, j in enumerate(others):
-            pj = np.asarray(policies[j], dtype=float)
-            rows = pj[type_idx[pos]]
-            draws = (rows.cumsum(axis=1) < rng.random(n_samples)[:, None]).sum(axis=1)
-            draws = np.minimum(draws, pj.shape[1] - 1)
-            flat_actions = flat_actions * pj.shape[1] + draws
-        out[theta] = v[theta, :, flat_types, flat_actions].mean(axis=0)
+        out[theta] = np.einsum("ac,c->a", v[theta], counts[theta]) / n_samples
     return out
 
 

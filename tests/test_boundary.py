@@ -8,6 +8,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -499,6 +500,8 @@ MALFORMED_GAMES = {
     "tabular-prior-wrong-length": (("prior",), {"kind": "tabular", "table": [0.5, 0.5]}),
     "payoffs-non-numeric": (("payoffs", 0), ["a"] * 16),
     "product-rows-object": (("prior", "rows"), {"a": 1}),
+    "payoffs-null": (("payoffs",), None),
+    "payoffs-number": (("payoffs",), 3),
 }
 
 
@@ -508,6 +511,20 @@ def test_malformed_game_file_is_bad_input(tmp_path, capsys, name):
     _set(doc, *MALFORMED_GAMES[name])
     path = write_json(tmp_path / "game.json", doc)
     assert main(["simulate", path, "-T", "3", "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_infinite_own_type_payoffs_are_reported_without_a_warning(tmp_path, capsys):
+    """The own-type spread is not taken over payoffs already out of range,
+    where inf - inf would warn before the error line."""
+    doc = _matching_doc()
+    assert doc["payoff_scope"] == "own-type"
+    doc["payoffs"][0] = [math.inf] * 16
+    path = write_json(tmp_path / "game.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", path, "-T", "3", "--out-dir", str(tmp_path / "o")])
+    assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -604,7 +621,12 @@ def _game_doc(rng, nt, na, own_type, tabular):
             v = np.broadcast_to(v[own], shape)
         payoffs.append(v.reshape(-1).tolist())
     if tabular:
-        prior = {"kind": "tabular", "table": rng.dirichlet(np.ones(math.prod(nt))).tolist()}
+        table = rng.dirichlet(np.ones(math.prod(nt))).reshape(nt)
+        i = int(rng.integers(n))
+        if nt[i] > 1 and rng.random() < 0.5:                  # a zero-mass type
+            table[(slice(None),) * i + (int(rng.integers(nt[i])),)] = 0.0
+            table /= table.sum()
+        prior = {"kind": "tabular", "table": table.reshape(-1).tolist()}
     else:
         prior = {"kind": "product", "rows": [rng.dirichlet(np.ones(k)).tolist() for k in nt]}
     return {"players": n, "types": [[f"t{k}" for k in range(k)] for k in nt],
@@ -644,11 +666,14 @@ def _spec_doc(rng, nt, na, mode):
        tol=st.sampled_from(["1e-9", "0.5", "2", "nan", "-1"]),
        mode=st.sampled_from(["game", "game", "game", "mechanism"]),
        learner=st.sampled_from(["untruthful", "typewise", "strategy-swap"]),
+       eps=st.sampled_from([None, "0.5", "0.5", "1e-5", "nan"]),
        data=st.data())
 def test_fuzz_cli_json_documents(nt, na_seed, own_type, tabular, broken, kind, command, klass,
-                                 tol, mode, learner, data):
+                                 tol, mode, learner, eps, data):
     """Whatever the documents hold, every command ends with exit 0, 1, 2 or 4
-    and never in an internal error."""
+    and never in an internal error.  ``simulate`` runs exact rewards, or
+    sampled ones (eps from ``eps``) that feed the documents to the multinomial
+    draw."""
     rng = np.random.default_rng(na_seed)
     na = [int(m) for m in rng.integers(1, 4, len(nt))]
     docs = {"game.json": _game_doc(rng, nt, na, own_type, tabular),
@@ -666,6 +691,8 @@ def test_fuzz_cli_json_documents(nt, na_seed, own_type, tabular, broken, kind, c
                 "poa": ["poa", game, dist, spec, f"--eps-tol={tol}"],
                 "simulate": ["simulate", game, "-T", "2", "--learner", learner,
                              "--out-dir", os.path.join(tmp, "out")]}[command]
+        if command == "simulate" and eps is not None:
+            argv += ["--reward", "sampled", f"--eps={eps}", "--delta", "0.2"]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)

@@ -10,7 +10,7 @@ from commeq.dynamics import (DynamicsConfig, empirical_distribution, exact_rewar
                              run_dynamics, sample_count, sampled_reward,
                              _round_rng)
 from commeq.errors import BadInput, EnumerationTooLarge
-from commeq.game import (BayesianGame, PriorModel, mixture_eval,
+from commeq.game import (BayesianGame, PriorModel, load_game, mixture_eval,
                          mixture_to_tabular, uniform_policy)
 from commeq.regret import strategy_regret, untruthful_regret
 from commeq.verifier import comm_eq_epsilon, strategy_representable
@@ -79,6 +79,85 @@ def test_sampled_reward_concentrates():
         if np.abs(approx - exact).max() <= eps / 4:
             hits += 1
     assert hits / trials >= 0.95
+
+
+def _fixture(name):
+    return load_game(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                                  f"{name}.json"))
+
+
+class _RecordingRng:
+    """A generator that logs the name of each method called on it and keeps
+    the counts of its last multinomial draw."""
+
+    def __init__(self, rng):
+        self.rng, self.calls, self.counts = rng, [], None
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        method = getattr(self.rng, name)
+        if name != "multinomial":
+            return method
+
+        def multinomial(*args, **kwargs):
+            self.counts = method(*args, **kwargs)
+            return self.counts
+        return multinomial
+
+
+def test_sampled_cell_counts_have_multinomial_moments():
+    """Over 2 000 (seed, player, round) streams on the auction, each cell's
+    count over the sample budget S has mean q and variance q (1 - q) / S,
+    both within 4 sigma; zero-probability cells are never drawn.  q is the
+    conditional prior times the opponent's policy."""
+    game = _fixture("first_price_auction")
+    opp = np.array([[0.6, 0.4, 0.0], [0.1, 0.3, 0.6]])
+    eps, delta, horizon = 0.5, 0.1, 10
+    s = sample_count(eps, delta, game.n, horizon, 6)
+    q = (game.prior.conditional_matrix(0)[:, :, None] * opp).reshape(2, -1)
+    streams = [(seed, 0, t) for seed in range(400) for t in range(1, 6)]
+    freq = np.empty((len(streams),) + q.shape)
+    for row, key in enumerate(streams):
+        rng = _RecordingRng(_round_rng(*key))
+        sampled_reward(game, 0, [None, opp], eps, delta, rng, horizon)
+        freq[row] = rng.counts / s
+    n = len(streams)
+    var = q * (1 - q) / s
+    assert np.all(np.abs(freq.mean(axis=0) - q) <= 4 * np.sqrt(var / n))
+    live = var > 0
+    kurtosis = (1 - 6 * q[live] * (1 - q[live])) / (s * q[live] * (1 - q[live]))
+    sd_of_var = var[live] * np.sqrt(2 / (n - 1) + kurtosis / n)
+    assert np.all(np.abs(freq.var(axis=0, ddof=1)[live] - var[live]) <= 4 * sd_of_var)
+    assert np.all(freq[:, ~live] == 0)
+
+
+def test_sampled_reward_makes_one_multinomial_draw():
+    for name in ("first_price_auction", "guessing_game", "correlated_coarse_game"):
+        game = _fixture(name)
+        policies = [np.full((k, m), 1.0 / m) for k, m in zip(game.num_types, game.num_actions)]
+        for i in range(game.n):
+            rng = _RecordingRng(_round_rng(3, i, 1))
+            sampled_reward(game, i, policies, 0.2, 0.05, rng, 50)
+            assert rng.calls == ["multinomial"], (name, i)
+            assert rng.counts.shape[0] == game.num_types[i]
+
+
+def test_sampled_reward_takes_rows_a_rounding_past_one():
+    """Policy rows summing to 1 + 1e-12 (float drift of a learner's output),
+    with the last action at 0, draw that action with probability 0 and trip
+    none of the multinomial's checks."""
+    for name in ("first_price_auction", "guessing_game", "correlated_coarse_game"):
+        game = _fixture(name)
+        policies = []
+        for k, m in zip(game.num_types, game.num_actions):
+            row = np.append(np.full(m - 1, 1.0 / (m - 1)), 0.0) if m > 1 else np.ones(1)
+            policies.append(np.tile(row * (1 + 1e-12), (k, 1)))
+        for i, j in ((0, 1), (1, 0)):
+            rng = _RecordingRng(_round_rng(4, i, 1))
+            u = sampled_reward(game, i, policies, 0.2, 0.05, rng, 50)
+            assert np.all(np.isfinite(u))
+            last = rng.counts.reshape(-1, game.num_types[j], game.num_actions[j])[..., -1]
+            assert game.num_actions[j] == 1 or not last.any(), (name, i)
 
 
 def test_constant_payoff_game_zero_certificate():
@@ -181,9 +260,7 @@ GAME_FIXTURES = ("correlated_coarse_game", "first_price_auction", "guessing_game
 def test_sampled_upper_bound_covers_exact_eps_of_own_mixture(name):
     """The exact eps of a sampled run's own play stays within its stated bound:
     the certificate plus eps/2 (each Monte-Carlo entry is within eps/4)."""
-    from commeq.game import load_game
-    game = load_game(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
-                                  f"{name}.json"))
+    game = _fixture(name)
     for seed in (1, 2):
         result = run_dynamics(game, DynamicsConfig(horizon=60, seed=seed,
                                                    reward_mode="sampled"))

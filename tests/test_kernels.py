@@ -284,9 +284,9 @@ def test_sampled_reward_matches_reference_on_fixtures(name):
 def test_sampled_reward_matches_reference_bit_for_bit():
     """1-3 players with one to three actions each, product and tabular priors
     with zero-mass types, zero-probability actions and some policy rows
-    summing to slightly less than 1.  Sample counts run from about ten to
-    about a thousand, past numpy's eight-way and 128-element pairwise blocks,
-    so any change of summation order shows."""
+    summing to slightly less than 1, whose missing mass the draw gives to the
+    last action.  Sample counts run from about ten to about a thousand, and
+    some one-action players have more than 128."""
     rng = np.random.default_rng(23)
     single = 0
     for g in range(GAMES):
