@@ -21,7 +21,7 @@ from .errors import (BadInput, CommeqError, EnumerationTooLarge, NotAnEquilibriu
                      SupportTooLarge)
 from .game import (SUM_TOL_DERIVED, BayesianGame, MixtureDistribution,
                    StrategyDistribution, check_policy, game_from_json_dict, load_game,
-                   mixture_to_tabular, validate_game)
+                   load_json as _load_json, mixture_to_tabular, validate_game)
 from .poa import QuasilinearGame, SmoothnessSpec, check_smoothness, poa_report
 from .verifier import (anf_bs_epsilon, bne_epsilon, coarse_epsilon,
                        comm_eq_epsilon, sfce_epsilon, strategy_representable)
@@ -31,17 +31,6 @@ EXIT_BAD_INPUT = 1
 EXIT_CAP = 2
 EXIT_INTERNAL = 3
 EXIT_NOT_VERIFIED = 4
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise BadInput(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadInput(f"{path}: malformed JSON at line {exc.lineno} "
-                       f"column {exc.colno}: {exc.msg}") from exc
 
 
 def load_distribution(path: str, game: BayesianGame):
@@ -77,7 +66,7 @@ def load_distribution(path: str, game: BayesianGame):
             return MixtureDistribution.from_stacked(weights, policies)
         if kind == "strategy":
             return StrategyDistribution.create(nt, na, np.asarray(doc["values"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadInput(f"{path}: distribution does not fit the game: {exc}") from exc
     raise BadInput(f"{path}: unknown distribution kind {kind!r}")
 
@@ -188,7 +177,7 @@ def cmd_poa(args) -> int:
         try:
             ql = doc["quasilinear"]
             target = QuasilinearGame.create(game, ql["alloc_values"], ql["payments"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BadInput(f"mechanism mode needs a 'quasilinear' block with alloc_values"
                            f" and payments that fit the game: {exc}") from exc
     dist = load_distribution(args.distribution, game)

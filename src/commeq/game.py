@@ -152,7 +152,7 @@ class BayesianGame:
         shape = tuple(len(x) for x in tl) + tuple(len(x) for x in al)
         try:
             ps = tuple(np.asarray(p, dtype=float).reshape(shape) for p in payoffs)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BadInput(f"each payoff table must hold {math.prod(shape)} numbers: {exc}") from exc
         return BayesianGame(n, tl, al, prior, ps, payoff_scope)
 
@@ -563,7 +563,7 @@ def game_from_json_dict(doc: dict) -> BayesianGame:
         else:
             raise BadInput("game file: the prior is a product one with a list of rows"
                            " or a tabular one with a table")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadInput(f"game file: prior does not fit the types: {exc!r}") from exc
     return BayesianGame.create(types, actions, prior, payoffs, doc.get("payoff_scope", "full"))
 
@@ -576,15 +576,79 @@ def open_output(path: str):
         raise BadInput(f"cannot write {path}: {exc}") from exc
 
 
-def load_game(path: str) -> BayesianGame:
+_SCAN = json.JSONDecoder().scan_once        # the stdlib's C scanner, as json.loads runs it
+_WS = json.decoder.WHITESPACE.match
+
+
+def _scan_table(s: str, end: int):
+    """scan_once for the elements of a top-level ``payoffs`` array: each table
+    becomes a float array before the next one is scanned (BayesianGame.create
+    makes the same conversion); a table that does not convert stays as parsed."""
+    table, end = _SCAN(s, end)
+    try:
+        return np.asarray(table, dtype=float), end
+    except (TypeError, ValueError, OverflowError):
+        return table, end
+
+
+def _scan_document(s: str) -> dict:
+    """A top-level JSON object, parsed like json.loads but for the ``payoffs``
+    array, whose tables are scanned one at a time.  Anything else raises
+    ValueError or StopIteration."""
+    pairs = []
+    end = _WS(s, 0).end()
+    if s[end:end + 1] != "{":
+        raise ValueError("not an object")
+    sep = ","
+    while sep == ",":
+        end = _WS(s, end + 1).end()
+        if s[end:end + 1] != '"':
+            raise ValueError("not a plain object")
+        key, end = json.decoder.scanstring(s, end + 1)
+        end = _WS(s, end).end()
+        if s[end:end + 1] != ":":
+            raise ValueError("no ':' after a key")
+        end = _WS(s, end + 1).end()
+        if key == "payoffs" and s[end:end + 1] == "[":
+            value, end = json.decoder.JSONArray((s, end + 1), _scan_table)
+        else:
+            value, end = _SCAN(s, end)
+        pairs.append((key, value))
+        end = _WS(s, end).end()
+        sep = s[end:end + 1]
+    if sep != "}" or _WS(s, end + 1).end() != len(s):
+        raise ValueError("not a single object")
+    return dict(pairs)
+
+
+def load_json(path: str):
+    """The JSON document in the file at ``path``, as json.loads gives it, except
+    that the tables of a top-level ``payoffs`` array arrive as float arrays.
+    Ingest holds the file's text, one table's Python floats and the arrays built
+    so far; a document the table-at-a-time scan cannot take goes to json.loads."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except OSError as exc:
-        raise BadInput(f"cannot read game file: {exc}") from exc
+        raise BadInput(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise BadInput(f"{path}: not UTF-8 text: {exc}") from exc
+    try:
+        return _scan_document(text)
+    except (ValueError, StopIteration, RecursionError):
+        pass                # out of the handler, so the partial tables are freed
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise BadInput(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return game_from_json_dict(doc)
+        raise BadInput(f"{path}: malformed JSON at line {exc.lineno} "
+                       f"column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer past Python's 4300-digit limit, or nesting too deep
+        raise BadInput(f"{path}: {exc}") from exc
+
+
+def load_game(path: str) -> BayesianGame:
+    return game_from_json_dict(load_json(path))
 
 
 def save_game(game: BayesianGame, path: str) -> None:

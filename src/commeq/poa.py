@@ -32,7 +32,7 @@ class SmoothnessSpec:
     def create(lam: float, mu: float, mode: str, deviation) -> SmoothnessSpec:
         try:
             lam, mu = float(lam), float(mu)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BadInput(f"lambda and mu must be numbers: {exc}") from exc
         if not (0 < lam < math.inf and 0 <= mu < math.inf):    # NaN fails too
             raise BadInput("need finite lambda > 0 and mu >= 0")
@@ -40,7 +40,7 @@ class SmoothnessSpec:
             raise BadInput(f"unknown smoothness mode {mode!r}")
         try:
             dev = tuple(np.asarray(d, dtype=float) for d in deviation)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BadInput(f"deviation must hold one action-index table per player: {exc}") from exc
         if not all(((d == np.trunc(d)) & (np.abs(d) < 2**31)).all() for d in dev):  # NaN fails
             raise BadInput("deviation entries must be integer action indices")

@@ -502,6 +502,9 @@ MALFORMED_GAMES = {
     "product-rows-object": (("prior", "rows"), {"a": 1}),
     "payoffs-null": (("payoffs",), None),
     "payoffs-number": (("payoffs",), 3),
+    "payoffs-huge-integer": (("payoffs", 0), [10**400] * 16),
+    "prior-row-huge-integer": (("prior", "rows", 0), [10**400, 0]),
+    "tabular-prior-huge-integer": (("prior",), {"kind": "tabular", "table": [10**400, 0, 0, 0]}),
 }
 
 
@@ -512,6 +515,72 @@ def test_malformed_game_file_is_bad_input(tmp_path, capsys, name):
     path = write_json(tmp_path / "game.json", doc)
     assert main(["simulate", path, "-T", "3", "--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("which", ["game", "distribution", "spec"])
+def test_file_that_is_not_utf8_is_bad_input(tmp_path, capsys, auction_run, which):
+    """Invalid UTF-8 used to end in an internal UnicodeDecodeError (exit 3)."""
+    files = {"game": AUCTION, "distribution": auction_run, "spec": AUCTION_SPEC}
+    with open(files[which], "rb") as fh:
+        raw = fh.read()
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw[:20] + b"\xc3(" + raw[20:])
+    files[which] = str(bad)
+    argvs = [["poa", files["game"], files["distribution"], files["spec"], "--eps-tol", "1"]]
+    if which != "spec":
+        argvs.append(["verify", files["game"], files["distribution"], "--tol", "1"])
+    if which == "game":
+        argvs.append(["simulate", files["game"], "-T", "3", "--out-dir", str(tmp_path / "o")])
+    for argv in argvs:
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
+
+
+def test_integer_past_the_digit_limit_is_bad_input(tmp_path, capsys):
+    """Python will not parse an integer of more than 4300 digits; json.loads
+    raised a plain ValueError (exit 3)."""
+    text = json.dumps(_matching_doc()).replace('"players": 2', '"players": 2' + "0" * 5000)
+    assert "0" * 5000 in text
+    path = tmp_path / "game.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["simulate", str(path), "-T", "3", "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: Exceeds the limit")
+
+
+@pytest.mark.parametrize("field", ["weights", "policies"])
+def test_mixture_with_an_integer_past_the_float_range_is_bad_input(tmp_path, capsys, field):
+    """A 400-digit integer used to end in an internal OverflowError (exit 3)."""
+    doc = uniform_mixture(load_game(MATCHING))
+    if field == "weights":
+        doc["weights"][0] = 10**400
+    else:
+        doc["policies"][1][0][0][0] = 10**400
+    code, err = verify_exit(tmp_path, capsys, doc)
+    assert code == 1 and "int too large" in err
+
+
+@pytest.mark.parametrize("path, value", [(("lambda",), 10**400), (("mu",), -10**400),
+                                         (("deviation", 0, 0, 0, 0), 10**400)],
+                         ids=["lambda", "mu", "deviation"])
+def test_spec_with_an_integer_past_the_float_range_is_bad_input(tmp_path, capsys, auction_run,
+                                                                path, value):
+    with open(AUCTION_SPEC, encoding="utf-8") as fh:
+        spec = json.load(fh)
+    _set(spec, path, value)
+    code = main(["poa", AUCTION, auction_run, write_json(tmp_path / "spec.json", spec),
+                 "--eps-tol", "1"])
+    assert code == 1 and capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("field", ["alloc_values", "payments"])
+def test_quasilinear_block_with_an_integer_past_the_float_range_is_bad_input(
+        tmp_path, capsys, auction_run, field):
+    with open(AUCTION, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["quasilinear"][field][0] = 10**400
+    code = main(["poa", write_json(tmp_path / "game.json", doc), auction_run, AUCTION_SPEC,
+                 "--eps-tol", "1"])
+    assert code == 1 and "quasilinear" in capsys.readouterr().err
 
 
 def test_infinite_own_type_payoffs_are_reported_without_a_warning(tmp_path, capsys):
@@ -577,6 +646,7 @@ def test_strategy_distribution_for_a_typewise_class_is_bad_input(capsys, klass):
 # broken in one place, through every command that reads them
 
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                 st.sampled_from([10**400, -10**400]),
                  st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=2),
                  st.lists(st.integers(-1, 3), max_size=3),
                  st.dictionaries(st.sampled_from(["kind", "rows", "table", "values"]),
@@ -667,13 +737,14 @@ def _spec_doc(rng, nt, na, mode):
        mode=st.sampled_from(["game", "game", "game", "mechanism"]),
        learner=st.sampled_from(["untruthful", "typewise", "strategy-swap"]),
        eps=st.sampled_from([None, "0.5", "0.5", "1e-5", "nan"]),
+       not_utf8=st.sampled_from([None] * 7 + ["game.json", "dist.json", "spec.json"]),
        data=st.data())
 def test_fuzz_cli_json_documents(nt, na_seed, own_type, tabular, broken, kind, command, klass,
-                                 tol, mode, learner, eps, data):
+                                 tol, mode, learner, eps, not_utf8, data):
     """Whatever the documents hold, every command ends with exit 0, 1, 2 or 4
     and never in an internal error.  ``simulate`` runs exact rewards, or
     sampled ones (eps from ``eps``) that feed the documents to the multinomial
-    draw."""
+    draw.  The file ``not_utf8`` gets a byte that is not UTF-8."""
     rng = np.random.default_rng(na_seed)
     na = [int(m) for m in rng.integers(1, 4, len(nt))]
     docs = {"game.json": _game_doc(rng, nt, na, own_type, tabular),
@@ -683,8 +754,13 @@ def test_fuzz_cli_json_documents(nt, na_seed, own_type, tabular, broken, kind, c
         docs[broken] = _broken(data, docs[broken])
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in docs.items():
-            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
+            raw = json.dumps(doc).encode("utf-8")
+            if name == not_utf8:
+                at = data.draw(st.integers(0, len(raw)))
+                raw = raw[:at] + data.draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80"])) \
+                    + raw[at:]
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(raw)
         game, dist, spec = (os.path.join(tmp, name) for name in docs)
         argv = {"verify": ["verify", game, dist, "--class", klass, f"--tol={tol}"],
                 "representable": ["representable", game, dist],
