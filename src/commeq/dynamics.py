@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class RunResult:
     untruthful: list[float]
     curve: np.ndarray                   # rows: t, player, external, typewise, untruthful, bound
     horizon: int
-    sigma_traces: list[np.ndarray | None] = field(default_factory=list)
     sampling: tuple[float, float] | None = None     # sampled rewards: slack, confidence
 
 
@@ -183,10 +182,6 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
     slot = {i: (g, b) for g in groups for b, i in enumerate(g.players)}
     policy_trace = [np.empty((t_max, game.num_types[i], game.num_actions[i]))
                     for i in range(game.n)]
-    sigma_traces: list[np.ndarray | None] = [None] * game.n
-    for g in groups:
-        if g.kind == "strategy-swap":
-            sigma_traces[g.players[0]] = np.empty((t_max, g.learner.S))
     curve_rows: list[list[float]] = []
     policies: list[np.ndarray | None] = [None] * game.n
 
@@ -197,11 +192,9 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
     try:
         for t in range(1, t_max + 1):
             for g in groups:
-                out = g.learner.step(g.prev)
-                if g.kind == "strategy-swap":
-                    sigma_traces[g.players[0]][t - 1] = out
-                    out = g.learner.policy_marginal()
-                g.played = out[None] if g.kind == "strategy-swap" else out
+                g.played = g.learner.step(g.prev)
+                if g.kind == "strategy-swap":           # the step returned sigma
+                    g.played = g.learner.policy_marginal()[None]
                 for b, i in enumerate(g.players):
                     policies[i] = g.played[b]
                     policy_trace[i][t - 1] = g.played[b]
@@ -244,14 +237,7 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
     curve = np.asarray(curve_rows) if curve_rows else np.empty((0, 6))
     sampled = config.reward_mode == "sampled"
     sampling = (config.epsilon / 2, 1 - config.delta) if sampled else None
-    return RunResult(mixture, ledgers, certificate, regrets, curve, t_max, sigma_traces,
-                     sampling)
-
-
-def empirical_distribution(profiles) -> MixtureDistribution:
-    """Uniform-weight mixture of per-round product profiles."""
-    t = len(profiles)
-    return MixtureDistribution.create(np.full(t, 1.0 / t), profiles)
+    return RunResult(mixture, ledgers, certificate, regrets, curve, t_max, sampling)
 
 
 # ---------------------------------------------------------------------------

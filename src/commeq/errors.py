@@ -14,10 +14,6 @@ class BadInput(CommeqError):
     """Malformed or inconsistent user input (files, vectors, dims)."""
 
 
-class ZeroMassType(BadInput):
-    """Conditional prior requested for a type with zero marginal mass."""
-
-
 class NotStochastic(BadInput):
     """A vector that must be a probability distribution is not one."""
 

@@ -8,15 +8,13 @@ derive are only held to ``SUM_TOL_DERIVED``.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadInput, EnumerationTooLarge, SupportTooLarge, ZeroMassType
+from .errors import BadInput, EnumerationTooLarge, SupportTooLarge
 
 SUM_TOL_INGEST = 1e-12
 SUM_TOL_DERIVED = 1e-9
@@ -87,8 +85,10 @@ class PriorModel:
     def conditional_matrix(self, i: int) -> np.ndarray:
         """Rows of rho|theta_i over flattened Theta_{-i}, one per theta_i.
 
-        Zero-mass types get a uniform row so downstream expectations stay
-        well defined; their values never reach any prior-weighted quantity.
+        A zero-mass type's row is still a distribution (the others' marginals
+        under a product prior, uniform under a tabular one), so downstream
+        expectations stay well defined; its values never reach any
+        prior-weighted quantity.
         """
         return self.conditionals[i]
 
@@ -209,26 +209,6 @@ def reward_axes(n: int, i: int) -> list[int]:
     return [ax for j in [i] + [j for j in range(n) if j != i] for ax in (j, n + j)]
 
 
-def tabulate_payoff_oracle(fn, num_types, num_actions, n_players: int) -> np.ndarray:
-    """Materialize a payoff oracle v(theta; a) into a tensor, clamping float dust.
-
-    Values outside [0,1] by at most 1e-9 are clamped with a warning; anything
-    further out is an error.
-    """
-    shape = tuple(num_types) + tuple(num_actions)
-    out = np.empty(shape, dtype=float)
-    for idx in np.ndindex(*shape):
-        theta, act = idx[:n_players], idx[n_players:]
-        out[idx] = fn(theta, act)
-    low, high = out.min(), out.max()
-    if low < -1e-9 or high > 1 + 1e-9:
-        raise BadInput(f"oracle payoff outside [0,1]: range [{low}, {high}]")
-    if low < 0 or high > 1:
-        warnings.warn("payoff oracle returned values outside [0,1] by <= 1e-9; clamped")
-        out = np.clip(out, 0.0, 1.0)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # policies and distributions
 
@@ -312,14 +292,6 @@ class MixtureDistribution:
         return [p[t] for p in self.policies]
 
 
-def mixture_eval(mix: MixtureDistribution, theta: tuple[int, ...], action: tuple[int, ...]) -> float:
-    """pi(theta; a) = sum_t w_t prod_i pi_i^t(theta_i; a_i)."""
-    acc = mix.weights.copy()
-    for i in range(mix.n):
-        acc *= mix.policies[i][:, theta[i], action[i]]
-    return float(acc.sum())
-
-
 def policy_product(lead: np.ndarray, policies) -> np.ndarray:
     """Kronecker product of stacked (C, K_j, M_j) policies onto a (C, R, Q) lead.
 
@@ -396,19 +368,10 @@ def strategy_space_size_under(num_types, num_actions, cap: int) -> int:
     return size
 
 
-def encode_strategy_profile(s: list[np.ndarray], num_actions) -> int:
-    """Mixed-radix index of a strategy profile; player 1's first type is the
-    most significant digit."""
-    idx = 0
-    for i, si in enumerate(s):
-        for a in si:
-            idx = idx * num_actions[i] + int(a)
-    return idx
-
-
 def decode_strategy_profile(idx, num_types, num_actions) -> list[np.ndarray]:
-    """Inverse of encode_strategy_profile: per player, the action of each type.
-    An array of N indices decodes to per-player (N, |Theta_i|) action tables."""
+    """Per player, the action of each type in the strategy profile at mixed-radix
+    index ``idx``; player 1's first type is the most significant digit.  An
+    array of N indices decodes to per-player (N, |Theta_i|) action tables."""
     idx = np.asarray(idx, dtype=np.int64)
     digits = []
     for i in reversed(range(len(num_types))):
@@ -444,29 +407,8 @@ class StrategyDistribution:
         return int(self.probs.size)
 
 
-def strategy_to_mixture(sigma: StrategyDistribution) -> MixtureDistribution:
-    """One deterministic product component per support profile, weight sigma(s)."""
-    support = np.flatnonzero(sigma.probs)
-    rows = decode_strategy_profile(support, sigma.num_types, sigma.num_actions)
-    policies = [np.eye(m)[r] for r, m in zip(rows, sigma.num_actions)]
-    return MixtureDistribution.from_stacked(sigma.probs[support], policies)
-
-
-def strategy_table(num_types: int, num_actions: int) -> np.ndarray:
-    """All of one player's strategies as an (|S_i|, |Theta_i|) action-index table."""
-    rows = itertools.product(range(num_actions), repeat=num_types)
-    return np.array(list(rows), dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # operations
-
-def conditional_prior(game: BayesianGame, i: int, theta_i: int) -> np.ndarray:
-    """rho | theta_i over flattened Theta_{-i}; errors on zero-mass types."""
-    if game.prior.marginals[i][theta_i] <= 0.0:
-        raise ZeroMassType(f"player {i} type {theta_i} has zero prior mass")
-    return game.prior.conditional_matrix(i)[theta_i].copy()
-
 
 @dataclass(frozen=True)
 class ValidationReport:

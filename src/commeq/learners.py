@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import BadInput, RewardOutOfRange
-from .game import prior_rows, strategy_space_size_under, strategy_table
+from .game import decode_strategy_profile, prior_rows, strategy_space_size_under
 from .transforms import _fixed_points, _power_fixed_point, _solve_fixed_point
 
 REWARD_TOL = 1e-9
@@ -186,11 +186,6 @@ class UntruthfulSwapLearner:
         q = self.y.reshape(self.M, self.B * self.K, km) * self.w.take(self._w_cols)
         return q.transpose(1, 0, 2).reshape(self.B, km, km)
 
-    def current_transform_dense(self) -> np.ndarray:
-        """The dense transform, (B, KM, KM) for a batch, (KM, KM) for one learner."""
-        dense = self._dense()
-        return dense if self.batched else dense[0]
-
 
 class TypewiseSwapLearner:
     """Per type, a Blum-Mansour swap learner fed that type's reward row scaled
@@ -222,7 +217,8 @@ class StrategySwapLearner:
         self.K = _count(num_types, "num_types")
         self.M = _count(num_actions, "num_actions")
         self.S = strategy_space_size_under((self.K,), (self.M,), cap)
-        self.table = strategy_table(self.K, self.M)     # (S, K) action indices
+        # (S, K) action indices
+        self.table = decode_strategy_profile(np.arange(self.S), (self.K,), (self.M,))[0]
         self.bank = _DoublingBank((self.S, self.K), self.M, 1.0)
         self.sigma = np.full(self.S, 1.0 / self.S)
 

@@ -62,6 +62,10 @@ class QuasilinearGame:
 
     @staticmethod
     def create(base: BayesianGame, alloc_values, payments) -> QuasilinearGame:
+        if len(alloc_values) != base.n or len(payments) != base.n:
+            raise BadInput(f"a quasilinear block holds {base.n} alloc_values and {base.n}"
+                           f" payments tables, one per player, not {len(alloc_values)}"
+                           f" and {len(payments)}")
         na = base.num_actions
         av = tuple(np.asarray(v, dtype=float).reshape((base.num_types[i],) + na)
                    for i, v in enumerate(alloc_values))
@@ -71,10 +75,6 @@ class QuasilinearGame:
         if problems:
             raise BadInput("; ".join(problems))
         return qg
-
-    def welfare(self) -> np.ndarray:
-        """Allocation welfare sum_i v_i^+(theta_i; f_i(a)) over (Theta..., A...)."""
-        return _welfare(self, "mechanism")
 
 
 def validate_quasilinear(qg: QuasilinearGame) -> list[str]:
@@ -180,16 +180,6 @@ def check_smoothness(game, spec: SmoothnessSpec) -> SmoothnessReport:
     n = slack.ndim // 2
     witness = (tuple(int(x) for x in cell[:n]), tuple(int(x) for x in cell[n:]))
     return SmoothnessReport(passed, min_slack, None if passed else witness)
-
-
-def smoothness_frontier(game, deviation, mode: str, mu_grid) -> list[dict]:
-    """Largest feasible lambda per mu over the same enumeration as
-    check_smoothness; reporting convenience only."""
-    lhs, against, opt = _smoothness_terms(game, deviation, mode)
-    live = opt > 0
-    return [{"mu": float(mu), "max_lambda": float(
-                ((lhs[live] + float(mu) * against[live]) / opt[live]).min(initial=np.inf))}
-            for mu in mu_grid]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import AuditError, BadInput, SupportTooLarge
-from .game import DEFAULT_LP_CAP, prior_rows, strategy_table
+from .game import DEFAULT_LP_CAP, decode_strategy_profile, prior_rows
 
 NEGATIVE_REGRET_TOL = 1e-9
 EPS = float(np.finfo(float).eps)
@@ -174,21 +174,6 @@ def untruthful_witness(ledger: RegretLedger) -> tuple[np.ndarray, np.ndarray, fl
     return psi, phi, value
 
 
-def ledger_diagonal_gap(ledger: RegretLedger) -> float:
-    """|G - sum_{theta,a} C(theta,theta,a,a)|; an exact identity up to float dust."""
-    diag = np.einsum("iiaa->", ledger.cross)
-    return abs(float(diag) - ledger.alg_reward)
-
-
-def audit_ledger(ledger: RegretLedger, tol: float = 1e-9) -> None:
-    """Check the diagonal identity within ``tol`` or the ledger's float drift."""
-    gap = ledger_diagonal_gap(ledger)
-    if gap > tol and gap > _ledger_drift(ledger):
-        raise AuditError(f"ledger diagonal identity off by {gap:.3e}")
-    if ledger.cross.min() < -tol:
-        raise AuditError("negative cross-tensor entry")
-
-
 def strategy_regret(sigmas, rewards, prior_row, cap: int = DEFAULT_LP_CAP) -> float:
     """Exact strategy swap regret of a played trace of strategy distributions.
 
@@ -205,7 +190,7 @@ def strategy_regret(sigmas, rewards, prior_row, cap: int = DEFAULT_LP_CAP) -> fl
         raise SupportTooLarge(f"|S| = {s} exceeds cap {cap}")
     if u.shape[0] != t or m ** k != s or rho.size != k:
         raise BadInput("trace shapes disagree")
-    table = strategy_table(k, m)
+    table = decode_strategy_profile(np.arange(s), (k,), (m,))[0]
     cum = np.einsum("ts,tka->ska", sig, u)
     deviation = float((rho[None, :] * cum.max(axis=2)).sum())
     played = u[:, np.arange(k)[None, :], table]         # (T, S, K)

@@ -80,11 +80,6 @@ class SwapTransform:
         q4 = self.W[:, None, :, None] * self.blocks.transpose(0, 3, 1, 2)
         return q4.reshape(k * m, k * m)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Dense multiplication of a (K, M) policy; returns a (K, M) policy."""
-        k, m = self.num_types, self.num_actions
-        return (self.dense() @ x.reshape(k * m)).reshape(k, m)
-
 
 def assemble_transform(w: np.ndarray, y: np.ndarray) -> SwapTransform:
     """Assemble from per-type report mixes w[theta] and columns y[theta,theta',a'].
@@ -115,16 +110,6 @@ def deviation_to_transform(dev: DeviationPair) -> SwapTransform:
     for theta in range(k):
         for ap in range(m):
             y[theta, :, ap, dev.phi[theta, ap]] = 1.0
-    return SwapTransform(w, y)
-
-
-def random_transform(rng: np.random.Generator, num_types: int, num_actions: int,
-                     positive: bool = True) -> SwapTransform:
-    """A random interior member; with positive=True every dense entry is > 0."""
-    w = rng.random((num_types, num_types)) + (0.05 if positive else 0.0)
-    w /= w.sum(axis=1, keepdims=True)
-    y = rng.random((num_types, num_types, num_actions, num_actions)) + (0.05 if positive else 0.0)
-    y /= y.sum(axis=3, keepdims=True)
     return SwapTransform(w, y)
 
 
@@ -247,19 +232,6 @@ def _solve_fixed_point(dense: np.ndarray, k: int, m: int) -> tuple[np.ndarray, f
     res = float(np.abs(dense @ x - x).max())
     res = max(res, float(np.abs(norm_rows @ x - 1.0).max()))
     return x, res
-
-
-def transform_membership_violation(q: SwapTransform) -> float:
-    """Largest violation of the polytope membership conditions (0 when valid)."""
-    neg = max(0.0, -float(q.W.min()), -float(q.blocks.min()))
-    w_rows = float(np.abs(q.W.sum(axis=1) - 1.0).max())
-    cols = float(np.abs(q.blocks.sum(axis=3) - 1.0).max())
-    # dense column sums within each block must reproduce W exactly
-    k, m = q.num_types, q.num_actions
-    dense = q.dense().reshape(k, m, k, m)
-    wsums = dense.sum(axis=1)
-    spread = float(np.abs(wsums - q.W[:, :, None]).max())
-    return max(neg, w_rows, cols, spread)
 
 
 def vertex_policies(num_types: int, num_actions: int):

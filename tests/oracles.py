@@ -1,7 +1,9 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here enumerates deviation maps explicitly or replays definitions
-with straight-line loops; nothing imports the decompositions under test.
+with straight-line loops; nothing imports the decompositions under test.  The
+last section holds pointwise evaluations, random members and invariant checks
+that the tests use and the package itself never calls.
 """
 
 from __future__ import annotations
@@ -362,14 +364,6 @@ def reference_smoothness(game, spec):
     return float(min_slack), witness
 
 
-def reference_max_lambda(game, deviation, mode, mu):
-    best = np.inf
-    for _, _, lhs, against, opt in _smoothness_cells(game, deviation, mode):
-        if opt > 0:
-            best = min(best, (lhs + mu * against) / opt)
-    return float(best)
-
-
 def reference_representability_matrix(nt, na):
     """One column per strategy profile, a one per type profile at the cell it plays."""
     n = len(nt)
@@ -662,11 +656,10 @@ class ReferenceTypewiseLearner:
 
 class ReferenceStrategyLearner:
     def __init__(self, num_types, num_actions, cap=4096):
-        from commeq.game import strategy_table
         from commeq.learners import LEARNER_FP_TOL
         self.K, self.M, self.fp_tol = num_types, num_actions, LEARNER_FP_TOL
         self.S = self.M ** self.K
-        self.table = strategy_table(self.K, self.M)
+        self.table = _strategy_table(self.K, self.M)
         self.bank = ReferenceBank((self.S, self.K), self.M, np.ones((self.S, self.K)))
         self.sigma = np.full(self.S, 1.0 / self.S)
 
@@ -686,3 +679,70 @@ class ReferenceStrategyLearner:
         for theta in range(self.K):
             np.add.at(out[theta], self.table[:, theta], self.sigma)
         return out
+
+
+# ---------------------------------------------------------------------------
+# pointwise evaluations, random members and invariant checks
+
+
+def mixture_eval(mix, theta, action):
+    """pi(theta; a) = sum_t w_t prod_i pi_i^t(theta_i; a_i)."""
+    acc = mix.weights.copy()
+    for i in range(mix.n):
+        acc *= mix.policies[i][:, theta[i], action[i]]
+    return float(acc.sum())
+
+
+def strategy_to_mixture(sigma):
+    """One deterministic product component per support profile, weight sigma(s)."""
+    from commeq.game import MixtureDistribution, decode_strategy_profile
+    support = np.flatnonzero(sigma.probs)
+    rows = decode_strategy_profile(support, sigma.num_types, sigma.num_actions)
+    policies = [np.eye(m)[r] for r, m in zip(rows, sigma.num_actions)]
+    return MixtureDistribution.from_stacked(sigma.probs[support], policies)
+
+
+def random_transform(rng, num_types, num_actions, positive=True):
+    """A random interior member; with positive=True every dense entry is > 0."""
+    from commeq.transforms import SwapTransform
+    w = rng.random((num_types, num_types)) + (0.05 if positive else 0.0)
+    w /= w.sum(axis=1, keepdims=True)
+    y = rng.random((num_types, num_types, num_actions, num_actions)) + (0.05 if positive else 0.0)
+    y /= y.sum(axis=3, keepdims=True)
+    return SwapTransform(w, y)
+
+
+def apply_transform(q, x):
+    """Dense multiplication of a (K, M) policy; returns a (K, M) policy."""
+    k, m = q.num_types, q.num_actions
+    return (q.dense() @ x.reshape(k * m)).reshape(k, m)
+
+
+def transform_membership_violation(q):
+    """Largest violation of the polytope membership conditions (0 when valid)."""
+    neg = max(0.0, -float(q.W.min()), -float(q.blocks.min()))
+    w_rows = float(np.abs(q.W.sum(axis=1) - 1.0).max())
+    cols = float(np.abs(q.blocks.sum(axis=3) - 1.0).max())
+    # dense column sums within each block must reproduce W exactly
+    k, m = q.num_types, q.num_actions
+    dense = q.dense().reshape(k, m, k, m)
+    wsums = dense.sum(axis=1)
+    spread = float(np.abs(wsums - q.W[:, :, None]).max())
+    return max(neg, w_rows, cols, spread)
+
+
+def ledger_diagonal_gap(ledger):
+    """|G - sum_{theta,a} C(theta,theta,a,a)|; an exact identity up to float dust."""
+    diag = np.einsum("iiaa->", ledger.cross)
+    return abs(float(diag) - ledger.alg_reward)
+
+
+def audit_ledger(ledger, tol=1e-9):
+    """Check the diagonal identity within ``tol`` or the ledger's float drift."""
+    from commeq.errors import AuditError
+    from commeq.regret import _ledger_drift
+    gap = ledger_diagonal_gap(ledger)
+    if gap > tol and gap > _ledger_drift(ledger):
+        raise AuditError(f"ledger diagonal identity off by {gap:.3e}")
+    if ledger.cross.min() < -tol:
+        raise AuditError("negative cross-tensor entry")

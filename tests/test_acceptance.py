@@ -11,24 +11,23 @@ import time
 import numpy as np
 import pytest
 
-from commeq import fixtures
 from commeq.adversary import build_instance, check_instance, run_experiment
 from commeq.dynamics import DynamicsConfig, run_dynamics
-from commeq.game import mixture_to_tabular, strategy_table
+from commeq.game import decode_strategy_profile, mixture_to_tabular
 from commeq.learners import UntruthfulSwapLearner
 from commeq.poa import check_smoothness, poa_report
 from commeq.regret import (RegretLedger, accumulate, external_regret,
                            strategy_regret, typewise_regret, untruthful_bound,
                            untruthful_regret)
 from commeq.transforms import (fixed_point, linear_to_transform,
-                               random_transform, transform_membership_violation,
                                vertex_policies, deviation_to_transform,
                                DeviationPair)
 from commeq.verifier import (anf_bs_epsilon, coarse_epsilon, comm_eq_epsilon,
                              strategy_representable)
 from commeq.game import policy_violation
 
-from . import oracles
+from . import fixture_files, oracles
+from .oracles import apply_transform, random_transform, transform_membership_violation
 
 REGRET_SUITE = [(4, 3, 10_000), (8, 2, 30_000)]
 SEEDS = range(20)
@@ -106,7 +105,7 @@ def test_criterion_02_sublinearity(regret_suite_runs):
 
 
 def test_criterion_03_certificate_soundness():
-    game = fixtures.matching_game()
+    game = fixture_files.game("matching_game")
     result = run_dynamics(game, DynamicsConfig(horizon=50_000, seed=0, curve_stride=0))
     cert = comm_eq_epsilon(game, result.mixture)
     gap = abs(cert.epsilon - result.certificate)
@@ -142,7 +141,7 @@ def test_criterion_04_regret_oracle_equivalence():
         k, m = [(1, 2), (1, 3), (2, 2)][int(rng.integers(0, 3))]
         t_max = int(rng.integers(1, 51))
         s = m ** k
-        table = strategy_table(k, m)
+        table = decode_strategy_profile(np.arange(s), (k,), (m,))[0]
         sigmas = rng.random((t_max, s))
         sigmas /= sigmas.sum(axis=1, keepdims=True)
         us = rng.random((t_max, k, m))
@@ -164,7 +163,7 @@ def test_criterion_05_fixed_point_suite():
         m = int(rng.integers(2, 5))
         q = random_transform(rng, k, m, positive=True)
         x = fixed_point(q)
-        worst_res = max(worst_res, float(np.abs(q.apply(x) - x).max()))
+        worst_res = max(worst_res, float(np.abs(apply_transform(q, x) - x).max()))
         worst_policy = max(worst_policy, policy_violation(x, 0.0))
     assert worst_res <= 1e-8
     assert worst_policy <= 1e-8
@@ -173,7 +172,8 @@ def test_criterion_05_fixed_point_suite():
 
 
 def test_criterion_06_representability():
-    rep = strategy_representable(fixtures.nonrepresentable_distribution())
+    rep = strategy_representable(
+        fixture_files.distribution("nonrepresentable_pi", "zero_payoff_game"))
     assert not rep.feasible
     assert rep.infeasibility >= 1e-7    # Farkas inner product, verified inside
     rng = np.random.default_rng(6)
@@ -225,7 +225,7 @@ def test_criterion_07_linear_map_conversion():
         q = linear_to_transform(mat, k, m)
         assert transform_membership_violation(q) <= 1e-9
         for v in vertex_policies(k, m):
-            gap = float(np.abs(q.apply(v).reshape(-1) - mat @ v.reshape(-1)).max())
+            gap = float(np.abs(apply_transform(q, v).reshape(-1) - mat @ v.reshape(-1)).max())
             assert gap <= 1e-9
             worst = max(worst, gap)
     print(f"\n[criterion 07] PASS 100 conversions in the polytope, vertex agreement "
@@ -247,8 +247,8 @@ def test_criterion_08_ordering_and_inclusion(regret_suite_runs):
         comm = comm_eq_epsilon(game, mix)
         anf = anf_bs_epsilon(game, mix, check_representability=False)
         assert anf.epsilon <= comm.epsilon + 1e-12
-    game = fixtures.correlated_coarse_game()
-    sigma = fixtures.correlated_coarse_sigma()
+    game = fixture_files.game("correlated_coarse_game")
+    sigma = fixture_files.distribution("correlated_coarse_sigma", "correlated_coarse_game")
     sfcce = coarse_epsilon(game, sigma, "sfcce").epsilon
     anfcce = coarse_epsilon(game, sigma, "anfcce").epsilon
     assert sfcce == pytest.approx(0.0, abs=1e-12)
@@ -274,11 +274,11 @@ def test_criterion_09_edge_type_diagnostics():
 
 def test_criterion_10_poa_end_to_end():
     start = time.time()
-    auction = fixtures.first_price_auction()
-    spec = fixtures.auction_halfvalue_spec(0.5, 1.0)
+    auction = fixture_files.auction()
+    spec = fixture_files.auction_spec()
     smooth = check_smoothness(auction, spec)
     assert smooth.passed
-    bad = check_smoothness(auction, fixtures.auction_halfvalue_spec(0.9, 1.0))
+    bad = check_smoothness(auction, fixture_files.auction_spec(0.9))
     assert not bad.passed and bad.witness is not None
     result = run_dynamics(auction.base,
                           DynamicsConfig(horizon=80_000, seed=0, curve_stride=0))
@@ -297,8 +297,7 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
     import os
 
     from commeq.cli import main
-    fx = lambda name: os.path.join(os.path.dirname(__file__), os.pardir,
-                                   "fixtures", name)
+    fx = lambda name: os.path.join(fixture_files.FIXTURES, name)
 
     def run_stdout(argv):
         code = main(argv)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commeq import cli, dynamics, errors, fixtures
+from commeq import cli, dynamics, errors
 from commeq.adversary import build_instance
 from commeq.cli import main
 from commeq.dynamics import SAMPLE_CAP, DynamicsConfig, run_dynamics, sample_count
@@ -26,11 +26,12 @@ from commeq.game import (SUM_TOL_DERIVED, BayesianGame, StrategyDistribution, Pr
                          game_to_json_dict, load_game, save_game, validate_game)
 from commeq.learners import (StrategySwapLearner, TypewiseSwapLearner, UntruthfulSwapLearner,
                              _DoublingBank)
-from commeq.poa import SmoothnessSpec, smoothness_frontier
+from commeq.poa import SmoothnessSpec, check_smoothness
 from commeq.regret import RegretLedger
 from commeq.verifier import strategy_representable
 
-FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+from .fixture_files import FIXTURES, auction, auction_spec, game as fixture_game
+
 MATCHING = os.path.join(FIXTURES, "matching_game.json")
 
 
@@ -143,7 +144,7 @@ def test_bad_run_config_is_bad_input(tmp_path, capsys, extra):
 
 def test_run_dynamics_validates_threads():
     with pytest.raises(BadInput):
-        run_dynamics(fixtures.matching_game(), DynamicsConfig(horizon=2, threads=0))
+        run_dynamics(fixture_game("matching_game"), DynamicsConfig(horizon=2, threads=0))
 
 
 def test_unexpected_exception_exits_3_on_one_line(tmp_path, capsys, monkeypatch):
@@ -156,19 +157,24 @@ def test_unexpected_exception_exits_3_on_one_line(tmp_path, capsys, monkeypatch)
     assert err == "internal error: ValueError: boom on two lines\n"
 
 
-def test_smoothness_frontier_goes_through_the_checks():
-    auction = fixtures.first_price_auction()
-    dev = fixtures.auction_halfvalue_spec().deviation
+def test_check_smoothness_goes_through_the_checks():
+    # the specs are built directly, past SmoothnessSpec.create's own checks
+    game = auction()
+    dev = auction_spec().deviation
+
+    def check(target, mode, deviation):
+        return check_smoothness(target, SmoothnessSpec(0.5, 1.0, mode, tuple(deviation)))
+
     with pytest.raises(BadInput):                         # mechanism mode, plain game
-        smoothness_frontier(auction.base, dev, "mechanism", [0.0])
+        check(game.base, "mechanism", dev)
     with pytest.raises(BadInput):
-        smoothness_frontier(auction, dev, "bogus", [0.0])
+        check(game, "bogus", dev)
     with pytest.raises(BadInput):                         # misshapen deviation map
-        smoothness_frontier(auction, [d[..., :1] for d in dev], "mechanism", [0.0])
+        check(game, "mechanism", [d[..., :1] for d in dev])
     with pytest.raises(BadInput):                         # action index out of range
-        smoothness_frontier(auction, [d + 5 for d in dev], "mechanism", [0.0])
+        check(game, "mechanism", [d + 5 for d in dev])
     with pytest.raises(BadInput):
-        smoothness_frontier(auction, dev[:1], "mechanism", [0.0])
+        check(game, "mechanism", dev[:1])
 
 
 def test_poa_parses_the_game_file_once(tmp_path, capsys, monkeypatch):
@@ -197,9 +203,31 @@ def test_poa_quasilinear_block_missing_field_is_bad_input(tmp_path, capsys):
     assert code == 1 and "quasilinear" in err
 
 
+@pytest.mark.parametrize("field, change", [("alloc_values", "drop"), ("payments", "add")])
+def test_poa_quasilinear_block_needs_one_table_per_player(tmp_path, capsys, auction_run,
+                                                         field, change):
+    """One alloc_values table too few ended in an IndexError (exit 3); a third
+    payments table was summed into the mechanism-mode smoothness term, where
+    it let a lambda = 0.9 spec pass that fails on the auction."""
+    with open(AUCTION, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    tables = doc["quasilinear"][field]
+    if change == "drop":
+        tables.pop()
+    else:
+        tables.append([1 / 3] * 9)
+    with open(AUCTION_SPEC, encoding="utf-8") as fh:
+        spec = json.load(fh)
+    spec["lambda"] = 0.9
+    code = main(["poa", write_json(tmp_path / "game.json", doc), auction_run,
+                 write_json(tmp_path / "spec.json", spec), "--eps-tol", "1"])
+    err = capsys.readouterr().err
+    assert code == 1 and "quasilinear" in err and "one per player" in err
+
+
 def test_run_dynamics_rejects_unknown_reward_mode():
     with pytest.raises(BadInput, match="reward mode"):
-        run_dynamics(fixtures.matching_game(), DynamicsConfig(horizon=5, reward_mode="bogus"))
+        run_dynamics(fixture_game("matching_game"), DynamicsConfig(horizon=5, reward_mode="bogus"))
 
 
 @pytest.mark.parametrize("field, value", [("lambda", float("nan")), ("lambda", float("inf")),
@@ -424,7 +452,7 @@ def test_fuzz_learner_boundary(kind, prior_shape, num_types, num_actions, data):
 
 # the README's exit-code table; a new error class without an entry fails
 EXIT_CODES = {
-    "BadInput": 1, "ZeroMassType": 1, "NotStochastic": 1, "RewardOutOfRange": 1,
+    "BadInput": 1, "NotStochastic": 1, "RewardOutOfRange": 1,
     "BadDims": 1, "AssumptionViolated": 1,
     "SupportTooLarge": 2, "EnumerationTooLarge": 2,
     "NotAnEquilibrium": 4,
@@ -680,14 +708,21 @@ def _broken(data, doc):
     return doc
 
 
-def _game_doc(rng, nt, na, own_type, tabular):
+def _game_doc(rng, nt, na, own_type, tabular, mode):
+    """A game document; an own-type game read in mechanism mode gets a valid
+    quasilinear block: drawn payments, and alloc_values = payoff + payments."""
     n = len(nt)
     shape = tuple(nt) + tuple(na)
-    payoffs = []
+    payoffs, alloc_values, payments = [], [], []
     for i in range(n):
         v = rng.integers(0, 5, shape) / 4                     # ties are common
         if own_type:
             own = tuple(slice(None) if j == i else slice(0, 1) for j in range(n))
+            if mode == "mechanism":
+                pay = rng.integers(0, 3, tuple(na)) / 4
+                alloc_values.append((v[own].reshape((nt[i],) + tuple(na)) + pay)
+                                    .reshape(-1).tolist())
+                payments.append(pay.reshape(-1).tolist())
             v = np.broadcast_to(v[own], shape)
         payoffs.append(v.reshape(-1).tolist())
     if tabular:
@@ -699,9 +734,26 @@ def _game_doc(rng, nt, na, own_type, tabular):
         prior = {"kind": "tabular", "table": table.reshape(-1).tolist()}
     else:
         prior = {"kind": "product", "rows": [rng.dirichlet(np.ones(k)).tolist() for k in nt]}
-    return {"players": n, "types": [[f"t{k}" for k in range(k)] for k in nt],
-            "actions": [[f"a{m}" for m in range(m)] for m in na], "prior": prior,
-            "payoffs": payoffs, "payoff_scope": "own-type" if own_type else "full"}
+    doc = {"players": n, "types": [[f"t{k}" for k in range(k)] for k in nt],
+           "actions": [[f"a{m}" for m in range(m)] for m in na], "prior": prior,
+           "payoffs": payoffs, "payoff_scope": "own-type" if own_type else "full"}
+    if alloc_values:
+        doc["quasilinear"] = {"alloc_values": alloc_values, "payments": payments}
+    return doc
+
+
+def _break_quasilinear(data, block, how):
+    """One table too few or too many, a table one number short, or a number
+    that is text, in the alloc_values or the payments of ``block``."""
+    tables = block[data.draw(st.sampled_from(["alloc_values", "payments"]))]
+    if how == "few":
+        tables.pop()
+    elif how == "many":
+        tables.append(tables[0])
+    elif how == "shape":
+        tables[0] = tables[0][:-1]
+    else:
+        tables[0] = ["x"] + tables[0][1:]
 
 
 def _distribution_doc(rng, nt, na, kind):
@@ -734,22 +786,26 @@ def _spec_doc(rng, nt, na, mode):
        klass=st.sampled_from(["comm", "anf-bs", "bne", "coarse-bs", "sfce", "sfcce",
                               "anfcce"]),
        tol=st.sampled_from(["1e-9", "0.5", "2", "nan", "-1"]),
-       mode=st.sampled_from(["game", "game", "game", "mechanism"]),
+       mode=st.sampled_from(["game", "game", "mechanism", "mechanism"]),
+       ql_broken=st.sampled_from([None, None, "few", "many", "shape", "text"]),
        learner=st.sampled_from(["untruthful", "typewise", "strategy-swap"]),
        eps=st.sampled_from([None, "0.5", "0.5", "1e-5", "nan"]),
        not_utf8=st.sampled_from([None] * 7 + ["game.json", "dist.json", "spec.json"]),
        data=st.data())
 def test_fuzz_cli_json_documents(nt, na_seed, own_type, tabular, broken, kind, command, klass,
-                                 tol, mode, learner, eps, not_utf8, data):
+                                 tol, mode, ql_broken, learner, eps, not_utf8, data):
     """Whatever the documents hold, every command ends with exit 0, 1, 2 or 4
     and never in an internal error.  ``simulate`` runs exact rewards, or
     sampled ones (eps from ``eps``) that feed the documents to the multinomial
-    draw.  The file ``not_utf8`` gets a byte that is not UTF-8."""
+    draw.  ``ql_broken`` breaks a quasilinear block, and the file ``not_utf8``
+    gets a byte that is not UTF-8."""
     rng = np.random.default_rng(na_seed)
     na = [int(m) for m in rng.integers(1, 4, len(nt))]
-    docs = {"game.json": _game_doc(rng, nt, na, own_type, tabular),
+    docs = {"game.json": _game_doc(rng, nt, na, own_type, tabular, mode),
             "dist.json": _distribution_doc(rng, nt, na, kind),
             "spec.json": _spec_doc(rng, nt, na, mode)}
+    if ql_broken and "quasilinear" in docs["game.json"]:
+        _break_quasilinear(data, docs["game.json"]["quasilinear"], ql_broken)
     if broken:
         docs[broken] = _broken(data, docs[broken])
     with tempfile.TemporaryDirectory() as tmp:

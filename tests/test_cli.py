@@ -7,7 +7,7 @@ import pytest
 
 from commeq.cli import main
 
-FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+from .fixture_files import FIXTURES
 
 
 def fx(name):

@@ -1,19 +1,24 @@
 import json
-import math
-import os
 
 import numpy as np
 import pytest
 
-from commeq import dynamics, fixtures
-from commeq.dynamics import (DynamicsConfig, empirical_distribution, exact_reward,
-                             run_dynamics, sample_count, sampled_reward,
-                             _round_rng)
+from commeq import dynamics
+from commeq.dynamics import (DynamicsConfig, exact_reward, run_dynamics, sample_count,
+                             sampled_reward, _round_rng)
 from commeq.errors import BadInput, EnumerationTooLarge
-from commeq.game import (BayesianGame, PriorModel, load_game, mixture_eval,
+from commeq.game import (BayesianGame, MixtureDistribution, PriorModel,
                          mixture_to_tabular, uniform_policy)
-from commeq.regret import strategy_regret, untruthful_regret
+from commeq.regret import untruthful_regret
 from commeq.verifier import comm_eq_epsilon, strategy_representable
+
+from .fixture_files import game as fixture_game
+from .oracles import mixture_eval
+
+
+def empirical_distribution(profiles):
+    """Uniform-weight mixture of per-round product profiles."""
+    return MixtureDistribution.create(np.full(len(profiles), 1.0 / len(profiles)), profiles)
 
 
 def test_exact_reward_single_player():
@@ -24,7 +29,7 @@ def test_exact_reward_single_player():
 
 
 def test_exact_reward_deterministic_opponent():
-    game = fixtures.matching_game()
+    game = fixture_game("matching_game")
     prior = PriorModel.tabular(np.array([[1.0, 0.0], [0.0, 0.0]]))
     pointy = BayesianGame.create(game.type_labels, game.action_labels, prior,
                                  list(game.payoffs), game.payoff_scope)
@@ -36,7 +41,7 @@ def test_exact_reward_deterministic_opponent():
 
 
 def test_exact_reward_hand_enumeration():
-    game = fixtures.matching_game()
+    game = fixture_game("matching_game")
     opp = uniform_policy(2, 2)
     u = exact_reward(game, 0, [None, opp])
     for th in range(2):
@@ -47,7 +52,7 @@ def test_exact_reward_hand_enumeration():
 
 
 def test_exact_reward_cap():
-    game = fixtures.matching_game()
+    game = fixture_game("matching_game")
     with pytest.raises(EnumerationTooLarge):
         exact_reward(game, 0, [None, uniform_policy(2, 2)], cap=3)
 
@@ -67,7 +72,7 @@ def test_sampled_reward_constant_game_exact():
 
 
 def test_sampled_reward_concentrates():
-    game = fixtures.matching_game()
+    game = fixture_game("matching_game")
     opp = np.array([[0.8, 0.2], [0.3, 0.7]])
     exact = exact_reward(game, 0, [None, opp])
     eps, delta = 0.2, 0.05
@@ -79,11 +84,6 @@ def test_sampled_reward_concentrates():
         if np.abs(approx - exact).max() <= eps / 4:
             hits += 1
     assert hits / trials >= 0.95
-
-
-def _fixture(name):
-    return load_game(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
-                                  f"{name}.json"))
 
 
 class _RecordingRng:
@@ -110,7 +110,7 @@ def test_sampled_cell_counts_have_multinomial_moments():
     count over the sample budget S has mean q and variance q (1 - q) / S,
     both within 4 sigma; zero-probability cells are never drawn.  q is the
     conditional prior times the opponent's policy."""
-    game = _fixture("first_price_auction")
+    game = fixture_game("first_price_auction")
     opp = np.array([[0.6, 0.4, 0.0], [0.1, 0.3, 0.6]])
     eps, delta, horizon = 0.5, 0.1, 10
     s = sample_count(eps, delta, game.n, horizon, 6)
@@ -133,7 +133,7 @@ def test_sampled_cell_counts_have_multinomial_moments():
 
 def test_sampled_reward_makes_one_multinomial_draw():
     for name in ("first_price_auction", "guessing_game", "correlated_coarse_game"):
-        game = _fixture(name)
+        game = fixture_game(name)
         policies = [np.full((k, m), 1.0 / m) for k, m in zip(game.num_types, game.num_actions)]
         for i in range(game.n):
             rng = _RecordingRng(_round_rng(3, i, 1))
@@ -147,7 +147,7 @@ def test_sampled_reward_takes_rows_a_rounding_past_one():
     with the last action at 0, draw that action with probability 0 and trip
     none of the multinomial's checks."""
     for name in ("first_price_auction", "guessing_game", "correlated_coarse_game"):
-        game = _fixture(name)
+        game = fixture_game(name)
         policies = []
         for k, m in zip(game.num_types, game.num_actions):
             row = np.append(np.full(m - 1, 1.0 / (m - 1)), 0.0) if m > 1 else np.ones(1)
@@ -183,21 +183,21 @@ def test_single_type_reduces_to_swap_dynamics():
 
 
 def test_certificate_matches_verifier():
-    game = fixtures.matching_game()
+    game = fixture_game("matching_game")
     res = run_dynamics(game, DynamicsConfig(horizon=800, seed=5, curve_stride=0))
     cert = comm_eq_epsilon(game, res.mixture)
     assert abs(cert.epsilon - res.certificate) <= 1e-6
 
 
 def test_mixture_is_representable():
-    game = fixtures.matching_game()
+    game = fixture_game("matching_game")
     res = run_dynamics(game, DynamicsConfig(horizon=60, seed=1, curve_stride=0))
     rep = strategy_representable(mixture_to_tabular(res.mixture))
     assert rep.feasible
 
 
 def test_run_determinism_and_threads():
-    game = fixtures.matching_game()
+    game = fixture_game("matching_game")
     base = run_dynamics(game, DynamicsConfig(horizon=80, seed=9))
     again = run_dynamics(game, DynamicsConfig(horizon=80, seed=9))
     threaded = run_dynamics(game, DynamicsConfig(horizon=80, seed=9, threads=4))
@@ -217,7 +217,7 @@ def test_only_sampled_rewards_build_a_thread_pool(monkeypatch):
             built.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
     monkeypatch.setattr(dynamics, "ThreadPoolExecutor", CountingPool)
-    game = fixtures.matching_game()
+    game = fixture_game("matching_game")
     run_dynamics(game, DynamicsConfig(horizon=5, threads=2))
     assert built == []
     run_dynamics(game, DynamicsConfig(horizon=5, threads=2, reward_mode="sampled",
@@ -226,7 +226,7 @@ def test_only_sampled_rewards_build_a_thread_pool(monkeypatch):
 
 
 def test_sampled_run_determinism():
-    game = fixtures.matching_game()
+    game = fixture_game("matching_game")
     cfg = DynamicsConfig(horizon=30, seed=2, reward_mode="sampled",
                          epsilon=0.5, delta=0.2, curve_stride=0)
     a = run_dynamics(game, cfg)
@@ -238,7 +238,7 @@ def test_sampled_run_determinism():
 
 
 def test_sampled_certificate_close_to_exact():
-    game = fixtures.matching_game()
+    game = fixture_game("matching_game")
     eps, delta = 0.4, 0.2
     exact = run_dynamics(game, DynamicsConfig(horizon=150, seed=0, curve_stride=0))
     good = 0
@@ -260,7 +260,7 @@ GAME_FIXTURES = ("correlated_coarse_game", "first_price_auction", "guessing_game
 def test_sampled_upper_bound_covers_exact_eps_of_own_mixture(name):
     """The exact eps of a sampled run's own play stays within its stated bound:
     the certificate plus eps/2 (each Monte-Carlo entry is within eps/4)."""
-    game = _fixture(name)
+    game = fixture_game(name)
     for seed in (1, 2):
         result = run_dynamics(game, DynamicsConfig(horizon=60, seed=seed,
                                                    reward_mode="sampled"))
@@ -272,7 +272,7 @@ def test_sampled_upper_bound_covers_exact_eps_of_own_mixture(name):
 
 
 def test_exact_runs_claim_no_sampling_slack():
-    result = run_dynamics(fixtures.matching_game(), DynamicsConfig(horizon=20))
+    result = run_dynamics(fixture_game("matching_game"), DynamicsConfig(horizon=20))
     assert result.sampling is None
     assert dynamics.sampling_fields(result) == {}
 
@@ -304,20 +304,18 @@ def test_empirical_three_round_average():
 
 
 def test_strategy_swap_dynamics_traces():
-    game = fixtures.matching_game()
+    game = fixture_game("matching_game")
     cfg = DynamicsConfig(horizon=300, learners="strategy-swap", seed=4, curve_stride=0)
     res = run_dynamics(game, cfg)
-    assert res.sigma_traces[0] is not None
-    us = None
-    # the stored sigma trace supports exact strategy-regret measurement
-    for i in range(game.n):
-        sig = res.sigma_traces[i]
-        assert np.allclose(sig.sum(axis=1), 1.0, atol=1e-8)
+    # each round's play is the type-wise marginal of the learner's sigma
+    for p in res.mixture.policies:
+        assert p.shape == (300, 2, 2)
+        assert np.allclose(p.sum(axis=2), 1.0, atol=1e-8)
     assert res.certificate >= 0.0
 
 
 def test_mixed_learner_kinds():
-    game = fixtures.matching_game()
+    game = fixture_game("matching_game")
     cfg = DynamicsConfig(horizon=120, learners=("untruthful", "typewise"),
                          seed=6, curve_stride=0)
     res = run_dynamics(game, cfg)
@@ -326,7 +324,7 @@ def test_mixed_learner_kinds():
 
 
 def test_curve_layout_and_bound_column():
-    game = fixtures.matching_game()
+    game = fixture_game("matching_game")
     res = run_dynamics(game, DynamicsConfig(horizon=40, seed=7, curve_stride=1))
     assert res.curve.shape == (40 * 2, 6)
     # ordering holds at every sampled t
@@ -336,7 +334,7 @@ def test_curve_layout_and_bound_column():
 
 
 def test_bad_learner_kind():
-    game = fixtures.matching_game()
+    game = fixture_game("matching_game")
     with pytest.raises(BadInput):
         run_dynamics(game, DynamicsConfig(horizon=5, learners="nope"))
 
@@ -344,7 +342,7 @@ def test_bad_learner_kind():
 def test_equilibrium_json_bytes_equal_json_dump(tmp_path):
     """The writer goes through json.dumps (the C encoder) and must write the
     bytes json.dump (the pure-Python encoder) writes."""
-    result = run_dynamics(fixtures.matching_game(), DynamicsConfig(horizon=40))
+    result = run_dynamics(fixture_game("matching_game"), DynamicsConfig(horizon=40))
     path = tmp_path / "equilibrium.json"
     dynamics.write_equilibrium_json(str(path), result)
     with open(tmp_path / "dumped.json", "w", encoding="utf-8", newline="\n") as fh:

@@ -1,17 +1,42 @@
 import json
-import os
 
 import numpy as np
 import pytest
 
-from commeq import fixtures
-from commeq.errors import BadInput, SupportTooLarge, ZeroMassType
+from commeq.errors import BadInput, SupportTooLarge
 from commeq.game import (BayesianGame, MixtureDistribution, PriorModel,
-                         StrategyDistribution, conditional_prior,
-                         decode_strategy_profile, encode_strategy_profile,
-                         game_from_json_dict, game_to_json_dict, load_game, mixture_eval,
-                         mixture_to_tabular, strategy_space_size,
-                         save_game, strategy_to_mixture, uniform_policy, validate_game)
+                         StrategyDistribution, decode_strategy_profile,
+                         game_from_json_dict, game_to_json_dict, mixture_to_tabular,
+                         strategy_space_size, save_game, uniform_policy, validate_game)
+
+from . import fixture_files
+from .oracles import mixture_eval, strategy_to_mixture
+
+
+def encode_strategy_profile(s, num_actions):
+    """Mixed-radix index of a strategy profile; player 1's first type is the
+    most significant digit."""
+    idx = 0
+    for i, si in enumerate(s):
+        for a in si:
+            idx = idx * num_actions[i] + int(a)
+    return idx
+
+
+def guessing_game_strategy_witness():
+    """The four-profile strategy mixture realizing fixtures/guessing_pi.json."""
+    num_types, num_actions = (3, 1), (5, 4)
+    probs = np.zeros(4**1 * 5**3)
+    rows = [
+        ([0, 4, 2], [0]),   # player 2 plays "1"
+        ([0, 4, 3], [1]),
+        ([0, 1, 2], [2]),
+        ([0, 1, 3], [3]),
+    ]
+    for r1, r2 in rows:
+        idx = encode_strategy_profile([np.array(r1), np.array(r2)], num_actions)
+        probs[idx] = 0.25
+    return StrategyDistribution.create(num_types, num_actions, probs)
 
 
 def small_game(payoff_value=0.5):
@@ -54,29 +79,6 @@ def test_validate_reports_bad_prior_mass():
     assert any("prior mass 0.98" in v for v in report.violations)
 
 
-def test_payoff_oracle_tabulation():
-    from commeq.game import tabulate_payoff_oracle
-
-    def clean(theta, act):
-        return 0.25 * theta[0] + 0.5 * act[0]
-
-    tensor = tabulate_payoff_oracle(clean, (2, 1), (2, 1), 2)
-    assert tensor[1, 0, 1, 0] == pytest.approx(0.75)
-
-    def dusty(theta, act):
-        return 1.0 + 5e-10 if act[0] else -5e-10
-
-    with pytest.warns(UserWarning, match="clamp"):
-        tensor = tabulate_payoff_oracle(dusty, (1, 1), (2, 1), 2)
-    assert tensor.min() == 0.0 and tensor.max() == 1.0
-
-    def broken(theta, act):
-        return 1.5
-
-    with pytest.raises(BadInput):
-        tabulate_payoff_oracle(broken, (1, 1), (2, 1), 2)
-
-
 def test_validate_scope_mismatch():
     game = small_game()
     bad = [p.copy() for p in game.payoffs]
@@ -91,30 +93,33 @@ def test_conditional_prior_product():
     game = BayesianGame.create([["a", "b"], ["a", "b"]], [["l"], ["l"]],
                                prior, [np.zeros((2, 2, 1, 1))] * 2)
     for theta in range(2):
-        assert np.allclose(conditional_prior(game, 0, theta), [0.3, 0.7])
+        assert np.allclose(game.prior.conditional_matrix(0)[theta], [0.3, 0.7])
 
 
 def test_conditional_prior_tabular_bayes():
     prior = PriorModel.tabular(np.array([[0.5, 0.0], [0.0, 0.5]]))
     game = BayesianGame.create([["a", "b"], ["a", "b"]], [["l"], ["l"]],
                                prior, [np.zeros((2, 2, 1, 1))] * 2)
-    assert np.allclose(conditional_prior(game, 0, 0), [1.0, 0.0])
-    assert np.allclose(conditional_prior(game, 0, 1), [0.0, 1.0])
+    assert np.allclose(game.prior.conditional_matrix(0)[0], [1.0, 0.0])
+    assert np.allclose(game.prior.conditional_matrix(0)[1], [0.0, 1.0])
 
 
 def test_conditional_prior_zero_mass():
+    # a zero-mass type's row is still a distribution: the others' marginals
+    # under a product prior, uniform under a tabular one
     prior = PriorModel.product([[1.0, 0.0], [1.0]])
     game = BayesianGame.create([["a", "b"], ["a"]], [["l"], ["l"]],
                                prior, [np.zeros((2, 1, 1, 1))] * 2)
-    with pytest.raises(ZeroMassType):
-        conditional_prior(game, 0, 1)
+    assert np.array_equal(game.prior.conditional_matrix(0)[1], [1.0])
+    tabular = PriorModel.tabular(np.array([[0.2, 0.8], [0.0, 0.0]]))
+    assert np.array_equal(tabular.conditional_matrix(0)[1], [0.5, 0.5])
 
 
 def test_conditional_prior_single_player():
     prior = PriorModel.product([[0.4, 0.6]])
     game = BayesianGame.create([["a", "b"]], [["l", "r"]], prior,
                                [np.zeros((2, 2))])
-    assert np.allclose(conditional_prior(game, 0, 0), [1.0])
+    assert np.allclose(game.prior.conditional_matrix(0)[0], [1.0])
 
 
 def test_mixture_eval_uniform():
@@ -199,14 +204,14 @@ def test_strategy_cap():
 
 
 def test_guessing_witness_matches_distribution():
-    sigma = fixtures.guessing_game_strategy_witness()
+    sigma = guessing_game_strategy_witness()
     mix = strategy_to_mixture(sigma)
-    pi = fixtures.guessing_game_distribution()
+    pi = fixture_files.distribution("guessing_pi", "guessing_game")
     assert np.allclose(mixture_to_tabular(mix), pi, atol=1e-12)
 
 
 def test_json_roundtrip():
-    game = fixtures.matching_game()
+    game = fixture_files.game("matching_game")
     doc = game_to_json_dict(game)
     back = game_from_json_dict(doc)
     assert back.type_labels == game.type_labels
@@ -217,7 +222,7 @@ def test_json_roundtrip():
 
 
 def test_json_roundtrip_tabular_prior():
-    game = fixtures.correlated_coarse_game()
+    game = fixture_files.game("correlated_coarse_game")
     back = game_from_json_dict(game_to_json_dict(game))
     assert np.allclose(back.prior.table, game.prior.table)
 
@@ -226,8 +231,7 @@ def test_json_roundtrip_tabular_prior():
 def test_save_game_bytes_equal_json_dump(tmp_path, name):
     """save_game goes through json.dumps (the C encoder) and must write the
     bytes json.dump (the pure-Python encoder) writes."""
-    game = load_game(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
-                                  f"{name}.json"))
+    game = fixture_files.game(name)
     save_game(game, str(tmp_path / "saved.json"))
     with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
         json.dump(game_to_json_dict(game), fh, sort_keys=True)

@@ -13,7 +13,8 @@ import pytest
 from commeq.errors import BadInput
 from commeq.game import game_from_json_dict, load_game, load_json
 
-FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+from .fixture_files import FIXTURES
+
 GAME_FIXTURES = ["correlated_coarse_game", "first_price_auction", "guessing_game",
                  "matching_game", "zero_payoff_game"]
 

@@ -3,20 +3,17 @@ references, compared with == rather than a tolerance: the ledger's (theta, a,
 theta', a') store and the block-checked power iteration must give the bits
 the plain (theta, theta', a, a') ledger and the per-sweep iteration give."""
 
-import os
-
 import numpy as np
 import pytest
 
 from commeq import adversary, learners, transforms
 from commeq.dynamics import DynamicsConfig, run_dynamics
-from commeq.game import load_game
 from commeq.regret import (RegretLedger, accumulate, external_regret, typewise_regret,
                            untruthful_regret, untruthful_witness)
 
-from .oracles import ReferenceLedger, reference_power_fixed_points
+from .fixture_files import game as fixture_game
+from .oracles import ReferenceLedger, random_transform, reference_power_fixed_points
 
-FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 TOL, CAP = learners.LEARNER_FP_TOL, learners.LEARNER_FP_CAP
 
 
@@ -52,7 +49,7 @@ def _swap(k, m):
 def captured_transforms():
     inst = adversary.build_instance(3, 600, 1)
     stream = _captured(lambda: adversary.run_experiment(inst), 20)
-    auction = load_game(os.path.join(FIXTURES, "first_price_auction.json"))
+    auction = fixture_game("first_price_auction")
     stacked = _captured(lambda: run_dynamics(auction, DynamicsConfig(horizon=300)), 10)
     return stream, stacked
 
@@ -86,7 +83,7 @@ def test_power_fixed_point_plateau_and_cap_match_per_sweep_reference(block, monk
     monkeypatch.setattr(transforms, "SWEEP_BLOCK", block)
     rng = np.random.default_rng(41)
     turn = 0.999 * np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
-    dense = np.stack([transforms.random_transform(rng, 1, 2).dense(), _swap(2, 1), turn])
+    dense = np.stack([random_transform(rng, 1, 2).dense(), _swap(2, 1), turn])
     seed = np.array([[0.9, 0.1], [0.8, 0.2], [1.0, 0.0]])
     for rows in ([1], [2], [0, 1, 2]):
         want = reference_power_fixed_points(dense[rows], seed[rows], TOL, CAP)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from commeq.errors import RewardOutOfRange, SupportTooLarge
-from commeq.game import strategy_table
+from commeq.game import decode_strategy_profile
 from commeq.learners import (StrategySwapLearner, TypewiseSwapLearner,
                              UntruthfulSwapLearner, _DoublingBank)
 from commeq.regret import (RegretLedger, accumulate, strategy_regret,
@@ -88,7 +88,7 @@ def test_untruthful_fixed_point_residual_every_round():
     prev = None
     for t in range(t_max):
         x = state.step(prev)
-        dense = state.current_transform_dense()
+        dense = state._dense()[0]
         assert np.abs(dense @ x.reshape(-1) - x.reshape(-1)).max() <= 1e-8
         assert np.abs(x.sum(axis=1) - 1).max() <= 1e-9
         prev = rng.random((k, m))
@@ -233,7 +233,7 @@ def test_strategy_swap_stationarity_and_marginal():
         sigma = state.step(prev)
         assert abs(sigma.sum() - 1) <= 1e-9
         marg = state.policy_marginal()
-        table = strategy_table(2, 2)
+        table = decode_strategy_profile(np.arange(4), (2,), (2,))[0]
         for theta in range(2):
             for a in range(2):
                 direct = sigma[table[:, theta] == a].sum()

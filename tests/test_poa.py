@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from commeq import fixtures
 from commeq.dynamics import DynamicsConfig, run_dynamics
 from commeq.errors import AssumptionViolated, BadInput, NotAnEquilibrium
 from commeq.game import BayesianGame, MixtureDistribution, PriorModel
 from commeq.poa import (QuasilinearGame, SmoothnessSpec, check_smoothness,
-                        poa_report, smoothness_frontier, validate_quasilinear)
+                        poa_report, validate_quasilinear)
+
+from .fixture_files import auction, auction_spec, game as fixture_game
 
 
 def identity_spec(game, lam, mu, mode="game"):
@@ -25,20 +26,20 @@ def constant_spec(game, lam, mu, action=0, mode="game"):
 
 
 def test_zero_game_trivially_smooth():
-    game = fixtures.zero_payoff_game()
+    game = fixture_game("zero_payoff_game")
     report = check_smoothness(game, identity_spec(game, 1.0, 0.0))
     assert report.passed
     assert report.min_slack == pytest.approx(0.0)
 
 
 def test_assumptions_enforced():
-    game = fixtures.correlated_coarse_game()    # tabular (correlated) prior
+    game = fixture_game("correlated_coarse_game")    # tabular (correlated) prior
     with pytest.raises(AssumptionViolated):
         check_smoothness(game, identity_spec(game, 1.0, 0.0))
 
 
 def test_quasilinear_validation():
-    aq = fixtures.first_price_auction()
+    aq = auction()
     assert validate_quasilinear(aq) == []
     bad_alloc = [v.copy() for v in aq.alloc_values]
     bad_alloc[0][0, 0, 0] += 0.25
@@ -47,15 +48,15 @@ def test_quasilinear_validation():
 
 
 def test_auction_smooth_at_half_one():
-    aq = fixtures.first_price_auction()
-    report = check_smoothness(aq, fixtures.auction_halfvalue_spec(0.5, 1.0))
+    aq = auction()
+    report = check_smoothness(aq, auction_spec())
     assert report.passed
     assert report.min_slack >= 0.0
 
 
 def test_auction_not_smooth_at_nine_tenths():
-    aq = fixtures.first_price_auction()
-    report = check_smoothness(aq, fixtures.auction_halfvalue_spec(0.9, 1.0))
+    aq = auction()
+    report = check_smoothness(aq, auction_spec(0.9))
     assert not report.passed
     assert report.witness is not None
     # the binding cells: one bidder holds the high value but the deviation
@@ -66,9 +67,9 @@ def test_auction_not_smooth_at_nine_tenths():
 
 def test_auction_smoothness_brute_force_identity():
     # recompute every cell of the mechanism inequality with plain loops
-    aq = fixtures.first_price_auction()
-    spec = fixtures.auction_halfvalue_spec(0.5, 1.0)
-    welfare = aq.welfare()
+    aq = auction()
+    spec = auction_spec()
+    welfare = aq.alloc_values[0][:, None] + aq.alloc_values[1][None, :]   # (2, 2, 3, 3)
     pay = aq.payments[0] + aq.payments[1]
     v = [aq.base.payoffs[i] for i in range(2)]
     min_slack = np.inf
@@ -84,15 +85,6 @@ def test_auction_smoothness_brute_force_identity():
     report = check_smoothness(aq, spec)
     assert report.min_slack == pytest.approx(min_slack, abs=1e-12)
     assert min_slack >= 0.0
-
-
-def test_frontier_monotone_in_mu():
-    aq = fixtures.first_price_auction()
-    spec = fixtures.auction_halfvalue_spec(0.5, 1.0)
-    rows = smoothness_frontier(aq, spec.deviation, "mechanism", [0.0, 0.5, 1.0, 2.0])
-    lams = [r["max_lambda"] for r in rows]
-    assert all(b >= a - 1e-12 for a, b in zip(lams, lams[1:]))
-    assert lams[2] >= 0.5   # (1/2, 1) is feasible
 
 
 def test_poa_report_point_mass_optimum():
@@ -113,7 +105,7 @@ def test_poa_report_point_mass_optimum():
 
 
 def test_poa_zero_welfare_convention():
-    game = fixtures.zero_payoff_game()
+    game = fixture_game("zero_payoff_game")
     point = np.array([[1.0, 0.0], [1.0, 0.0]])
     mix = MixtureDistribution.create([1.0], [[point, point]])
     report = poa_report(game, mix, identity_spec(game, 1.0, 0.0), eps_tol=1e-9)
@@ -142,16 +134,16 @@ def test_poa_rejects_non_equilibrium():
 
 
 def test_poa_rejects_failing_spec():
-    aq = fixtures.first_price_auction()
+    aq = auction()
     res = run_dynamics(aq.base, DynamicsConfig(horizon=50, curve_stride=0))
     with pytest.raises(BadInput):
-        poa_report(aq, res.mixture, fixtures.auction_halfvalue_spec(0.9, 1.0),
+        poa_report(aq, res.mixture, auction_spec(0.9),
                    eps_tol=1.0)
 
 
 def test_poa_end_to_end_short_run():
-    aq = fixtures.first_price_auction()
-    spec = fixtures.auction_halfvalue_spec(0.5, 1.0)
+    aq = auction()
+    spec = auction_spec()
     res = run_dynamics(aq.base, DynamicsConfig(horizon=3000, seed=0, curve_stride=0))
     report = poa_report(aq, res.mixture, spec, eps_tol=0.05)
     assert report.bound == 0.5

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from commeq.errors import AuditError
-from commeq.game import strategy_table
-from commeq.regret import (RegretLedger, accumulate, audit_ledger,
-                           external_regret, ledger_diagonal_gap, strategy_regret,
+from commeq.game import decode_strategy_profile
+from commeq.regret import (RegretLedger, accumulate, external_regret, strategy_regret,
                            typewise_regret, untruthful_bound, untruthful_regret,
                            untruthful_witness)
 
-from .oracles import (enumerate_external, enumerate_strategy,
-                      enumerate_typewise, enumerate_untruthful)
+from .oracles import (audit_ledger, enumerate_external, enumerate_strategy,
+                      enumerate_typewise, enumerate_untruthful, ledger_diagonal_gap)
 
 
 def test_accumulate_single_round():
@@ -188,7 +187,7 @@ def test_strategy_regret_optimal_stream_zero():
     t_max, k, m = 20, 2, 2
     rng = np.random.default_rng(5)
     us = rng.random((t_max, k, m))
-    table = strategy_table(k, m)
+    table = decode_strategy_profile(np.arange(m**k), (k,), (m,))[0]
     sigmas = np.zeros((t_max, table.shape[0]))
     best = us.sum(axis=0).argmax(axis=1)        # best fixed action per type
     best_strategy = int(np.flatnonzero((table == best).all(axis=1))[0])
@@ -207,7 +206,7 @@ def test_strategy_regret_optimal_stream_zero():
 def test_strategy_regret_matches_enumeration():
     rng = np.random.default_rng(6)
     k, m, t_max = 2, 2, 20
-    table = strategy_table(k, m)
+    table = decode_strategy_profile(np.arange(m**k), (k,), (m,))[0]
     for _ in range(10):
         sigmas = rng.random((t_max, 4))
         sigmas /= sigmas.sum(axis=1, keepdims=True)

@@ -7,8 +7,9 @@ from commeq.errors import NotStochastic, NotValidOnX
 from commeq.game import policy_violation, uniform_policy
 from commeq.transforms import (DeviationPair, SwapTransform, assemble_transform,
                                deviation_to_transform, fixed_point,
-                               linear_to_transform, random_transform,
-                               transform_membership_violation, vertex_policies)
+                               linear_to_transform, vertex_policies)
+
+from .oracles import apply_transform, random_transform, transform_membership_violation
 
 
 def test_identity_deviation_is_identity_matrix():
@@ -113,7 +114,7 @@ def test_fixed_point_permutation_fallback():
     q = deviation_to_transform(DeviationPair.create([1, 0], np.tile(np.arange(2), (2, 1))))
     seed = np.array([[0.9, 0.1], [0.3, 0.7]])
     x = fixed_point(q, seed_policy=seed)
-    assert np.abs(q.apply(x) - x).max() <= 1e-10
+    assert np.abs(apply_transform(q, x) - x).max() <= 1e-10
     assert policy_violation(x, 1e-9) <= 1e-9
 
 
@@ -125,7 +126,7 @@ def test_membership_closure_random_pairs():
         q = random_transform(rng, k, m)
         x = rng.random((k, m))
         x /= x.sum(axis=1, keepdims=True)
-        y = q.apply(x)
+        y = apply_transform(q, x)
         assert policy_violation(y) <= 1e-10
 
 
@@ -135,7 +136,7 @@ def test_fixed_point_residual_property(seed, k, m):
     rng = np.random.default_rng(seed)
     q = random_transform(rng, k, m)
     x = fixed_point(q, tol=1e-10)
-    assert np.abs(q.apply(x) - x).max() <= 1e-10
+    assert np.abs(apply_transform(q, x) - x).max() <= 1e-10
     assert policy_violation(x, 1e-9) <= 1e-9
 
 
@@ -156,7 +157,7 @@ def test_linear_to_transform_on_member():
     q = random_transform(rng, 2, 2)
     out = linear_to_transform(q.dense(), 2, 2)
     for v in vertex_policies(2, 2):
-        assert np.abs(out.apply(v) - q.apply(v)).max() <= 1e-9
+        assert np.abs(apply_transform(out, v) - apply_transform(q, v)).max() <= 1e-9
 
 
 def test_linear_to_transform_convex_combination():
@@ -168,7 +169,7 @@ def test_linear_to_transform_convex_combination():
         out = linear_to_transform(mat, k, m)
         assert transform_membership_violation(out) <= 1e-9
         for v in vertex_policies(k, m):
-            got = out.apply(v).reshape(-1)
+            got = apply_transform(out, v).reshape(-1)
             want = mat @ v.reshape(-1)
             assert np.abs(got - want).max() <= 1e-9
 
@@ -185,7 +186,7 @@ def test_linear_to_transform_repairs_row_shift():
     assert transform_membership_violation(out) <= 1e-9
     assert out.dense().min() >= 0.0 and out.dense().max() <= 1.0
     for v in vertex_policies(k, m):
-        assert np.abs(out.apply(v).reshape(-1) - mat @ v.reshape(-1)).max() <= 1e-9
+        assert np.abs(apply_transform(out, v).reshape(-1) - mat @ v.reshape(-1)).max() <= 1e-9
 
 
 def test_linear_to_transform_interior_agreement():
@@ -195,7 +196,7 @@ def test_linear_to_transform_interior_agreement():
     for _ in range(100):
         x = rng.random((2, 3))
         x /= x.sum(axis=1, keepdims=True)
-        assert np.abs(out.apply(x).reshape(-1) - mat @ x.reshape(-1)).max() <= 1e-9
+        assert np.abs(apply_transform(out, x).reshape(-1) - mat @ x.reshape(-1)).max() <= 1e-9
 
 
 def test_linear_to_transform_rejects_invalid():

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from commeq import fixtures, verifier
+from commeq import verifier
 from commeq.errors import BadInput, SupportTooLarge
 from commeq.game import (BayesianGame, MixtureDistribution, PriorModel, StrategyDistribution,
-                         expected_rewards, mixture_to_tabular, strategy_to_mixture)
+                         expected_rewards, mixture_to_tabular)
 from commeq.regret import RegretLedger
 from commeq.verifier import (anf_bs_epsilon, bne_epsilon, coarse_epsilon,
                              comm_eq_epsilon, conditional_independence,
                              deviation_tensor, sfce_epsilon,
                              strategy_representable, typewise_product_gap)
 
-from .oracles import enumerate_comm_gain
+from .fixture_files import distribution, game as fixture_game
+from .oracles import enumerate_comm_gain, strategy_to_mixture
 
 
 def random_mixture(rng, num_types, num_actions, components):
@@ -74,8 +75,8 @@ def test_tensor_single_player():
 
 
 def test_tensor_zero_payoff_player():
-    game = fixtures.zero_payoff_game()
-    pi = fixtures.nonrepresentable_distribution()
+    game = fixture_game("zero_payoff_game")
+    pi = distribution("nonrepresentable_pi", "zero_payoff_game")
     ledger = deviation_tensor(game, 0, pi)
     assert np.all(ledger.cross == 0.0)
 
@@ -93,8 +94,8 @@ def test_tensor_mixture_equals_tabular():
 
 
 def test_guessing_game_truthful_value_half():
-    ledger = deviation_tensor(fixtures.guessing_game(), 0,
-                              fixtures.guessing_game_distribution())
+    ledger = deviation_tensor(fixture_game("guessing_game"), 0,
+                              distribution("guessing_pi", "guessing_game"))
     assert ledger.alg_reward == pytest.approx(0.5, abs=1e-12)
 
 
@@ -125,14 +126,14 @@ def test_comm_witness_replay():
 
 
 def test_guessing_game_is_comm_equilibrium():
-    cert = comm_eq_epsilon(fixtures.guessing_game(),
-                           fixtures.guessing_game_distribution())
+    cert = comm_eq_epsilon(fixture_game("guessing_game"),
+                           distribution("guessing_pi", "guessing_game"))
     assert cert.epsilon == pytest.approx(0.0, abs=1e-12)
 
 
 def test_zero_game_everything_zero():
-    game = fixtures.zero_payoff_game()
-    pi = fixtures.nonrepresentable_distribution()
+    game = fixture_game("zero_payoff_game")
+    pi = distribution("nonrepresentable_pi", "zero_payoff_game")
     assert comm_eq_epsilon(game, pi).epsilon == 0.0
     assert anf_bs_epsilon(game, pi, check_representability=False).epsilon == 0.0
     assert coarse_epsilon(game, pi, "coarse-bs").epsilon == 0.0
@@ -151,8 +152,8 @@ def test_anf_bs_below_comm():
 
 
 def test_comm_zero_and_representable_implies_anf_zero():
-    game = fixtures.guessing_game()
-    pi = fixtures.guessing_game_distribution()
+    game = fixture_game("guessing_game")
+    pi = distribution("guessing_pi", "guessing_game")
     assert comm_eq_epsilon(game, pi).epsilon == pytest.approx(0.0, abs=1e-12)
     cert = anf_bs_epsilon(game, pi)
     assert cert.representable is True
@@ -212,14 +213,15 @@ def test_coarse_gains_agree_with_unweighted_formula_to_1e14_relative():
 
 def test_coarse_epsilon_rejects_sfce():
     """sfce has one entry point, sfce_epsilon."""
-    game = fixtures.correlated_coarse_game()
+    game = fixture_game("correlated_coarse_game")
+    sigma = distribution("correlated_coarse_sigma", "correlated_coarse_game")
     with pytest.raises(BadInput):
-        coarse_epsilon(game, fixtures.correlated_coarse_sigma(), "sfce")
+        coarse_epsilon(game, sigma, "sfce")
 
 
 def test_example_bayesian_solution_not_representable():
-    game = fixtures.zero_payoff_game()
-    pi = fixtures.nonrepresentable_distribution()
+    game = fixture_game("zero_payoff_game")
+    pi = distribution("nonrepresentable_pi", "zero_payoff_game")
     cert = anf_bs_epsilon(game, pi)
     assert cert.epsilon == 0.0
     assert cert.representable is False
@@ -241,7 +243,7 @@ def test_bne_dominant_strategy_game():
 
 
 def test_bne_product_gap_flags_correlation():
-    gap = typewise_product_gap(fixtures.nonrepresentable_distribution(), 2)
+    gap = typewise_product_gap(distribution("nonrepresentable_pi", "zero_payoff_game"), 2)
     assert gap > 0.2
 
 
@@ -249,8 +251,8 @@ def test_bne_product_gap_flags_correlation():
 # coarse classes on strategy distributions
 
 def test_correlated_fixture_sfcce_holds_anfcce_fails():
-    game = fixtures.correlated_coarse_game()
-    sigma = fixtures.correlated_coarse_sigma()
+    game = fixture_game("correlated_coarse_game")
+    sigma = distribution("correlated_coarse_sigma", "correlated_coarse_game")
     assert coarse_epsilon(game, sigma, "sfcce").epsilon == pytest.approx(0.0, abs=1e-12)
     cert = coarse_epsilon(game, sigma, "anfcce")
     assert cert.epsilon == pytest.approx(0.25, abs=1e-12)
@@ -271,7 +273,7 @@ def test_anfcce_at_least_sfcce():
 
 
 def test_sfce_epsilon_zero_on_uniform_zero_game():
-    game = fixtures.zero_payoff_game()
+    game = fixture_game("zero_payoff_game")
     size = 4 * 4
     sigma = StrategyDistribution.create((2, 2), (2, 2), np.full(size, 1 / size))
     assert sfce_epsilon(game, sigma).epsilon == pytest.approx(0.0, abs=1e-12)
@@ -280,8 +282,8 @@ def test_sfce_epsilon_zero_on_uniform_zero_game():
 def test_sfce_detects_information_leak():
     # recommendations for unrealized types leak the opponent action, so
     # strategy swaps beat action swaps
-    game = fixtures.correlated_coarse_game()
-    sigma = fixtures.correlated_coarse_sigma()
+    game = fixture_game("correlated_coarse_game")
+    sigma = distribution("correlated_coarse_sigma", "correlated_coarse_game")
     cert = sfce_epsilon(game, sigma)
     assert cert.epsilon >= 0.25 - 1e-12
 
@@ -290,7 +292,7 @@ def test_sfce_detects_information_leak():
 # representability
 
 def test_nonrepresentable_certificate():
-    rep = strategy_representable(fixtures.nonrepresentable_distribution())
+    rep = strategy_representable(distribution("nonrepresentable_pi", "zero_payoff_game"))
     assert not rep.feasible
     assert rep.infeasibility >= 1e-7
     assert rep.farkas is not None
@@ -306,7 +308,7 @@ def test_random_mixtures_always_feasible():
 
 
 def test_feasible_witness_reproduces_marginals():
-    pi = fixtures.guessing_game_distribution()
+    pi = distribution("guessing_pi", "guessing_game")
     rep = strategy_representable(pi)
     assert rep.feasible
     back = mixture_to_tabular(strategy_to_mixture(rep.sigma))
@@ -322,9 +324,9 @@ def test_representable_cap():
 # conditional independence
 
 def test_ci_holds_for_nonrepresentable_example():
-    game = fixtures.zero_payoff_game()
-    ok, witness = conditional_independence(game.prior,
-                                           fixtures.nonrepresentable_distribution())
+    game = fixture_game("zero_payoff_game")
+    pi = distribution("nonrepresentable_pi", "zero_payoff_game")
+    ok, witness = conditional_independence(game.prior, pi)
     assert ok and witness is None
 
 
@@ -357,7 +359,7 @@ def test_comm_witness_is_stable_under_float_dust(monkeypatch):
     """Policies that ignore the type make every report tie: psi is the lowest
     report under any one-ulp change of the gains, and the witness still
     replays to the gain."""
-    game = fixtures.first_price_auction().base
+    game = fixture_game("first_price_auction")
     rng = np.random.default_rng(8)
     policies = [np.repeat(rng.dirichlet(np.ones(m), size=(4, 1)), k, axis=1)
                 for k, m in zip(game.num_types, game.num_actions)]
