@@ -84,6 +84,10 @@ def _print_json(obj: dict) -> None:
 
 def cmd_simulate(args) -> int:
     game = _checked_game(args.game, load_game(args.game))
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise BadInput(f"cannot make output directory {args.out_dir}: {exc}") from exc
     config = DynamicsConfig(
         horizon=args.T,
         learners=args.learner,
@@ -94,10 +98,6 @@ def cmd_simulate(args) -> int:
         threads=args.threads,
     )
     result = run_dynamics(game, config)
-    try:
-        os.makedirs(args.out_dir, exist_ok=True)
-    except OSError as exc:
-        raise BadInput(f"cannot make output directory {args.out_dir}: {exc}") from exc
     write_regret_csv(os.path.join(args.out_dir, "regret.csv"), result.curve)
     write_equilibrium_json(os.path.join(args.out_dir, "equilibrium.json"), result)
     write_certificate_txt(os.path.join(args.out_dir, "certificate.txt"), result, game)

@@ -520,45 +520,153 @@ def open_output(path: str):
 
 _SCAN = json.JSONDecoder().scan_once        # the stdlib's C scanner, as json.loads runs it
 _WS = json.decoder.WHITESPACE.match
+_READ_CHUNK = 2**20                         # characters load_json reads at a time
 
 
-def _scan_table(s: str, end: int):
-    """scan_once for the elements of a top-level ``payoffs`` array: each table
-    becomes a float array before the next one is scanned (BayesianGame.create
-    makes the same conversion); a table that does not convert stays as parsed."""
-    table, end = _SCAN(s, end)
+class _Window:
+    """The text of an open file that has been read but not yet consumed.
+
+    ``text`` starts where the consumed text ends; reading appends to it and
+    ``drop`` consumes from its front.  A payoff table is read a chunk at a
+    time; any other value is scanned once the window holds all of it, the
+    window growing by as much again as it holds, so the text handed to the
+    scanner stays linear in the file size."""
+
+    def __init__(self, fh):
+        self.fh, self.text, self.eof = fh, "", False
+
+    def _read(self, size: int) -> str:
+        more = self.fh.read(size)
+        self.eof = len(more) < size
+        return more
+
+    def grow(self) -> None:
+        """Read as much again as the window holds, and at least a chunk."""
+        self.text += self._read(max(len(self.text), _READ_CHUNK))
+
+    def drop(self, end: int) -> None:
+        self.text = self.text[end:]
+
+    def skip_ws(self, pos: int) -> int:
+        """The first index at or after ``pos`` that is not whitespace, reading
+        on as needed; len(text) at the end of the file."""
+        pos = _WS(self.text, pos).end()
+        while pos == len(self.text) and not self.eof:
+            self.grow()
+            pos = _WS(self.text, pos).end()
+        return pos
+
+    def value(self, pos: int):
+        """(value, end) of the JSON value at ``pos``, scanned once the window
+        holds all of it.  A failed scan of a container or string means that
+        its closing character lies past the window, so the next scan waits
+        for one; a number such as 1.5 may still run on as 1.5e3."""
+        close = {"[": "]", "{": "}", '"': '"'}.get(self.text[pos:pos + 1])
+        while True:
+            held = len(self.text)
+            try:
+                value, end = _SCAN(self.text, pos)
+                if close or self.eof or self.text[end:end + 1] not in ("", ".", "e", "E"):
+                    return value, end
+            except (ValueError, StopIteration):
+                if self.eof:
+                    raise
+            self.grow()
+            while close and not self.eof and self.text.find(close, held) < 0:
+                self.grow()
+
+    def table_end(self, pos: int) -> int | None:
+        """The end of the array that starts at ``pos``: where the bracket depth
+        returns to zero, the window reading a chunk at a time until it holds
+        it.  None if a '"' lies in the array or the file ends in it."""
+        pieces, piece, j, depth, end = [], self.text, pos, 0, None
+        while True:
+            k = piece.find("]", j)
+            stop = len(piece) if k < 0 else k
+            if piece.find('"', j, stop) >= 0:
+                break
+            depth += piece.count("[", j, stop)
+            if k >= 0:
+                depth, j = depth - 1, k + 1
+                if depth == 0:
+                    end = sum(map(len, pieces)) + j
+                    break
+            elif self.eof:
+                break
+            else:
+                pieces.append(piece)
+                piece, j = self._read(_READ_CHUNK), 0
+        if pieces:
+            pieces.append(piece)
+            self.text = "".join(pieces)
+        return end
+
+
+def _as_table(table):
+    """A payoff table as the float array BayesianGame.create makes of it; a
+    table that does not convert stays as parsed."""
     try:
-        return np.asarray(table, dtype=float), end
+        return np.asarray(table, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        return table, end
+        return table
 
 
-def _scan_document(s: str) -> dict:
-    """A top-level JSON object, parsed like json.loads but for the ``payoffs``
-    array, whose tables are scanned one at a time.  Anything else raises
-    ValueError or StopIteration."""
+def _scan_tables(w: _Window) -> tuple[list, int]:
+    """The elements of the top-level ``payoffs`` array that opens the window,
+    each turned into a float array before the next one is read, and the index
+    just past the array."""
+    tables = []
+    pos = w.skip_ws(1)
+    if w.text[pos:pos + 1] == "]":
+        return tables, pos + 1
+    pos, sep = 0, ","
+    while sep == ",":
+        w.drop(pos + 1)
+        pos = w.skip_ws(0)
+        end = w.table_end(pos) if w.text[pos:pos + 1] == "[" else None
+        if end is None:
+            table, end = w.value(pos)
+        else:
+            table = _SCAN(w.text, pos)[0]
+        w.drop(end)
+        tables.append(_as_table(table))
+        del table                   # the list goes before the next table is read
+        pos = w.skip_ws(0)
+        sep = w.text[pos:pos + 1]
+    if sep != "]":
+        raise ValueError("not an array")
+    return tables, pos + 1
+
+
+def _scan_document(fh) -> dict:
+    """The top-level JSON object in the text file ``fh``, parsed like
+    json.loads but for the ``payoffs`` array, whose tables are read and
+    scanned one at a time.  Anything else raises ValueError or StopIteration."""
+    w = _Window(fh)
     pairs = []
-    end = _WS(s, 0).end()
-    if s[end:end + 1] != "{":
+    pos = w.skip_ws(0)
+    if w.text[pos:pos + 1] != "{":
         raise ValueError("not an object")
     sep = ","
     while sep == ",":
-        end = _WS(s, end + 1).end()
-        if s[end:end + 1] != '"':
+        w.drop(pos + 1)
+        pos = w.skip_ws(0)
+        if w.text[pos:pos + 1] != '"':
             raise ValueError("not a plain object")
-        key, end = json.decoder.scanstring(s, end + 1)
-        end = _WS(s, end).end()
-        if s[end:end + 1] != ":":
+        key, pos = w.value(pos)
+        pos = w.skip_ws(pos)
+        if w.text[pos:pos + 1] != ":":
             raise ValueError("no ':' after a key")
-        end = _WS(s, end + 1).end()
-        if key == "payoffs" and s[end:end + 1] == "[":
-            value, end = json.decoder.JSONArray((s, end + 1), _scan_table)
+        pos = w.skip_ws(pos + 1)
+        if key == "payoffs" and w.text[pos:pos + 1] == "[":
+            w.drop(pos)
+            value, pos = _scan_tables(w)
         else:
-            value, end = _SCAN(s, end)
+            value, pos = w.value(pos)
         pairs.append((key, value))
-        end = _WS(s, end).end()
-        sep = s[end:end + 1]
-    if sep != "}" or _WS(s, end + 1).end() != len(s):
+        pos = w.skip_ws(pos)
+        sep = w.text[pos:pos + 1]
+    if sep != "}" or w.skip_ws(pos + 1) != len(w.text):
         raise ValueError("not a single object")
     return dict(pairs)
 
@@ -566,8 +674,14 @@ def _scan_document(s: str) -> dict:
 def load_json(path: str):
     """The JSON document in the file at ``path``, as json.loads gives it, except
     that the tables of a top-level ``payoffs`` array arrive as float arrays.
-    Ingest holds the file's text, one table's Python floats and the arrays built
-    so far; a document the table-at-a-time scan cannot take goes to json.loads."""
+    The file is read through a moving window, so ingest holds one table's
+    text, its Python floats and the arrays built so far; a document the window
+    cannot take is read whole and goes to json.loads."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _scan_document(fh)
+    except (OSError, ValueError, StopIteration, RecursionError):
+        pass                # out of the handler, so the partial tables are freed
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -575,10 +689,6 @@ def load_json(path: str):
         raise BadInput(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise BadInput(f"{path}: not UTF-8 text: {exc}") from exc
-    try:
-        return _scan_document(text)
-    except (ValueError, StopIteration, RecursionError):
-        pass                # out of the handler, so the partial tables are freed
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -6,9 +6,11 @@ import io
 import json
 import math
 import os
+import pathlib
 import tempfile
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commeq import cli, dynamics, errors
-from commeq.adversary import build_instance
+from commeq import game as game_module
+from commeq.adversary import STREAM_CAP, build_instance
 from commeq.cli import main
 from commeq.dynamics import SAMPLE_CAP, DynamicsConfig, run_dynamics, sample_count
 from commeq.errors import (BadInput, CommeqError, EnumerationTooLarge, RewardOutOfRange,
@@ -390,6 +393,85 @@ def test_adversary_stream_past_its_cap_is_a_cap_error(capsys):
     assert code == 2 and "cap" in err and peak < 2**22
     with pytest.raises(EnumerationTooLarge):
         build_instance(10**6, 10**6, 0)
+
+
+def _power_base(k, limit):
+    """The largest m with m^k <= limit."""
+    m = round(limit ** (1 / k))
+    while m**k > limit:
+        m -= 1
+    while (m + 1)**k <= limit:
+        m += 1
+    return m
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(cap=st.sampled_from(["lp", "sample", "stream"]), over=st.booleans(), data=st.data())
+def test_fuzz_near_the_caps(cap, over, data):
+    """One past a cap, a command exits 2 before any large allocation; under
+    it, the largest runs that fit the fuzz's time budget succeed.
+
+    - DEFAULT_LP_CAP: ``representable`` on a one-player game with |A|^|Theta|
+      strategies, the smallest power past 10^4 for the drawn |Theta|, or at
+      most about 10^3 (the LP at 10^4 columns took 90 s on a shared 2-vCPU
+      host).
+    - SAMPLE_CAP: an eps one float below the one whose budget is exactly
+      2^22 samples, or that eps itself (one multinomial draw costs about the
+      same at any budget).
+    - STREAM_CAP: ``adversary`` with the smallest T (a multiple of B) that
+      puts T x 2^(B+1) past 2^24, or a stream of at most 2^13 cells.
+
+    DEFAULT_ENUMERATION_CAP is left out: a game with 10^7 opponent cells
+    holds at least 80 MB of payoffs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if cap == "lp":
+            k = data.draw(st.sampled_from([2, 3, 4, 5, 6, 7, 9, 14] if over else [2, 3, 4, 6, 9]))
+            m = _power_base(k, 10**4) + 1 if over else _power_base(k, 1000)
+            game = write_json(pathlib.Path(tmp, "game.json"), {
+                "players": 1, "types": [[f"t{i}" for i in range(k)]],
+                "actions": [[f"a{j}" for j in range(m)]],
+                "prior": {"kind": "product", "rows": [[1.0 / k] * k]},
+                "payoffs": [[0.5] * (k * m)], "payoff_scope": "full"})
+            values = np.random.default_rng(k).dirichlet(np.ones(m), size=k)
+            dist = write_json(pathlib.Path(tmp, "pi.json"),
+                              {"kind": "tabular", "values": values.reshape(-1).tolist()})
+            argv = ["representable", game, dist]
+        elif cap == "sample":
+            # the budget on the matching game at T = 3 (2 players, 4 (type,
+            # action) pairs, delta 0.05) is exactly SAMPLE_CAP at this eps
+            eps = math.sqrt(8.0 * math.log(2.0 * 2 * 3 * 4 / 0.05) / SAMPLE_CAP)
+            argv = ["simulate", MATCHING, "-T", "3", "--reward", "sampled",
+                    "--eps", repr(math.nextafter(eps, 0) if over else eps),
+                    "--out-dir", os.path.join(tmp, "out")]
+        else:
+            b = data.draw(st.integers(1, 8 if over else 6))
+            t = (STREAM_CAP // 2 ** (b + 1) // b + 1) * b if over \
+                else b * data.draw(st.integers(1, max(1, 2**13 // 2 ** (b + 1) // b)))
+            argv = ["adversary", "-B", str(b), "-T", str(t)]
+        err = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    if over:
+        assert code == 2 and "cap" in err.getvalue() and peak < 2**22, (code, peak, argv)
+    else:
+        assert code == 0, (err.getvalue(), argv)
+
+
+def test_simulate_makes_its_out_dir_before_the_run(tmp_path, capsys, monkeypatch):
+    """An --out-dir that cannot be made fails before any round is played."""
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran the dynamics")
+    monkeypatch.setattr(cli, "run_dynamics", forbidden)
+    assert main(["simulate", MATCHING, "-T", "3", "--out-dir", str(taken)]) == 1
+    assert "output directory" in capsys.readouterr().err
 
 
 def test_negative_seed_runs_as_its_value_modulo_2_64(tmp_path, capsys):
@@ -791,14 +873,15 @@ def _spec_doc(rng, nt, na, mode):
        learner=st.sampled_from(["untruthful", "typewise", "strategy-swap"]),
        eps=st.sampled_from([None, "0.5", "0.5", "1e-5", "nan"]),
        not_utf8=st.sampled_from([None] * 7 + ["game.json", "dist.json", "spec.json"]),
-       data=st.data())
+       chunk=st.sampled_from([3, 64, None]), data=st.data())
 def test_fuzz_cli_json_documents(nt, na_seed, own_type, tabular, broken, kind, command, klass,
-                                 tol, mode, ql_broken, learner, eps, not_utf8, data):
+                                 tol, mode, ql_broken, learner, eps, not_utf8, chunk, data):
     """Whatever the documents hold, every command ends with exit 0, 1, 2 or 4
     and never in an internal error.  ``simulate`` runs exact rewards, or
     sampled ones (eps from ``eps``) that feed the documents to the multinomial
-    draw.  ``ql_broken`` breaks a quasilinear block, and the file ``not_utf8``
-    gets a byte that is not UTF-8."""
+    draw.  ``ql_broken`` breaks a quasilinear block, the file ``not_utf8``
+    gets a byte that is not UTF-8, and the reader reads ``chunk`` characters
+    at a time (None: its own chunk size)."""
     rng = np.random.default_rng(na_seed)
     na = [int(m) for m in rng.integers(1, 4, len(nt))]
     docs = {"game.json": _game_doc(rng, nt, na, own_type, tabular, mode),
@@ -826,7 +909,8 @@ def test_fuzz_cli_json_documents(nt, na_seed, own_type, tabular, broken, kind, c
         if command == "simulate" and eps is not None:
             argv += ["--reward", "sampled", f"--eps={eps}", "--delta", "0.2"]
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                mock.patch.object(game_module, "_READ_CHUNK", chunk or game_module._READ_CHUNK):
             code = main(argv)
     assert code in (0, 1, 2, 4), err.getvalue()
     assert not any(line.startswith("internal error:") for line in err.getvalue().splitlines())
