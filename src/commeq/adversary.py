@@ -21,6 +21,7 @@ from .regret import (RegretLedger, accumulate, untruthful_bound,
 
 LEARNERS = ("untruthful", "typewise", "oracle", "type-blind")
 STREAM_CAP = 2**24               # T x 2^(B+1) (round, type) cells, 16 bytes each
+EDGE_TOL = 1e-9                  # slack of the edge inequalities
 
 
 @dataclass(frozen=True)
@@ -110,9 +111,9 @@ class ExperimentResult:
     horizon: int
     num_types: int
 
-    def edge_inequalities_hold(self, tol: float = 1e-9) -> bool:
+    def edge_inequalities_hold(self) -> bool:
         """Both constant-reward types spent almost all mass on their winning action."""
-        floor = self.edge_lower_bound - tol
+        floor = self.edge_lower_bound - EDGE_TOL
         return (self.stay_mass_alpha0 >= floor
                 and self.stay_mass_alpha1 >= floor)
 
@@ -131,13 +132,12 @@ class ExperimentResult:
         }
 
 
-def run_experiment(inst: LowerBoundInstance, learner: str = "untruthful",
-                   seed: int = 0) -> ExperimentResult:
+def run_experiment(inst: LowerBoundInstance, learner: str = "untruthful") -> ExperimentResult:
     """Drive a learner on the stream and account its untruthful swap regret.
 
-    The seed is accepted for interface symmetry; every shipped learner is
-    deterministic.  "oracle" (clairvoyant per-round best response) and
-    "type-blind" (always uniform) are calibration baselines.
+    Every shipped learner is deterministic, so the run takes no seed.
+    "oracle" (clairvoyant per-round best response) and "type-blind" (always
+    uniform) are calibration baselines.
     """
     if learner not in LEARNERS:
         raise BadInput(f"unknown learner {learner!r}")

@@ -157,7 +157,7 @@ def cmd_adversary(args) -> int:
     adv.check_instance(inst)
     if args.stream_csv:
         adv.write_stream_csv(args.stream_csv, inst)
-    result = adv.run_experiment(inst, args.learner, args.seed)
+    result = adv.run_experiment(inst, args.learner)
     _print_json(result.to_json_dict())
     return EXIT_OK
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDims, BadInput, SupportTooLarge
-from .game import (DEFAULT_ENUMERATION_CAP, BayesianGame, MixtureDistribution,
-                   expected_rewards, open_output, policy_product)
+from .game import (BayesianGame, MixtureDistribution, expected_rewards, open_output,
+                   policy_product)
 from .learners import StrategySwapLearner, TypewiseSwapLearner, UntruthfulSwapLearner
 from .regret import (RegretLedger, accumulate, external_regret, typewise_regret,
                      untruthful_bound, untruthful_regret)
@@ -65,11 +65,10 @@ class RunResult:
     sampling: tuple[float, float] | None = None     # sampled rewards: slack, confidence
 
 
-def exact_reward(game: BayesianGame, i: int, policies,
-                 cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def exact_reward(game: BayesianGame, i: int, policies) -> np.ndarray:
     """Exact expected reward u_i(theta_i, a_i) under the others' type-wise policies."""
     opponents = [np.asarray(policies[j])[None] for j in range(game.n) if j != i]
-    return expected_rewards(game, i, opponents, cap)[0]
+    return expected_rewards(game, i, opponents)[0]
 
 
 def sample_count(epsilon: float, delta: float, n: int, horizon: int,

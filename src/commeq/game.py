@@ -26,16 +26,19 @@ DEFAULT_ENUMERATION_CAP = 10**7
 # strategy classes and strategy regret, and the representability LP's columns
 DEFAULT_LP_CAP = 10**4
 
+# cells of the explicit (Theta..., A...) array mixture_to_tabular builds
+TABULAR_CAP = 10**6
+
 # partial-sum cells expected_rewards holds per block of mixture components (8 MB)
 CONTRACT_BLOCK_CELLS = 2**20
 
 
-def _check_prob_vector(v: np.ndarray, what: str, tol: float = SUM_TOL_INGEST) -> None:
+def _check_prob_vector(v: np.ndarray, what: str) -> None:
     if not np.isfinite(v).all():
         raise BadInput(f"{what} has a non-finite entry")
     if np.any(v < 0):
         raise BadInput(f"{what} has a negative entry")
-    if abs(float(v.sum()) - 1.0) > tol:
+    if abs(float(v.sum()) - 1.0) > SUM_TOL_INGEST:
         raise BadInput(f"{what} has mass {float(v.sum())!r} != 1")
 
 
@@ -179,20 +182,21 @@ class BayesianGame:
         self._flat_payoffs[("own-view", i)] = out
         return out
 
-    def reward_matrix(self, i: int, cap: int | None = None) -> np.ndarray:
+    def reward_matrix(self, i: int) -> np.ndarray:
         """rho(theta_-i | theta_i) * v_i as a (|Theta_i||A_i|, prod_j!=i |Theta_j||A_j|) matrix.
 
         Rows are (theta_i, a_i); columns interleave (theta_j, a_j) over the
         opponents in player order, so the opponent weight of a column is the
         Kronecker product of the flattened opponent policies.  The column count
-        is checked against ``cap`` before anything is built.
+        is checked against DEFAULT_ENUMERATION_CAP before anything is built.
         """
         out = self._flat_payoffs.get(("reward", i))
         others = [j for j in range(self.n) if j != i]
         cells = out.shape[1] if out is not None else math.prod(
             len(self.type_labels[j]) * len(self.action_labels[j]) for j in others)
-        if cap is not None and cells > cap:
-            raise EnumerationTooLarge(f"{cells} opponent cells exceed cap {cap}")
+        if cells > DEFAULT_ENUMERATION_CAP:
+            raise EnumerationTooLarge(
+                f"{cells} opponent cells exceed cap {DEFAULT_ENUMERATION_CAP}")
         if out is None:
             nt, na = self.num_types, self.num_actions
             out = np.ascontiguousarray(self.payoffs[i].transpose(reward_axes(self.n, i)))
@@ -227,7 +231,7 @@ def prior_rows(prior_row) -> np.ndarray:
     return rho
 
 
-def policy_violation(x: np.ndarray, tol: float = SUM_TOL_INGEST) -> float:
+def policy_violation(x: np.ndarray) -> float:
     """Largest violation of the type-wise policy invariants (0 when valid, inf
     when an entry is not finite)."""
     x = np.asarray(x, dtype=float)
@@ -242,7 +246,7 @@ def check_policy(x: np.ndarray, tol: float = SUM_TOL_INGEST, what: str = "policy
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise BadInput(f"{what} must be a (types x actions) matrix")
-    v = policy_violation(x, tol)
+    v = policy_violation(x)
     if v > tol:
         raise BadInput(f"{what} violates row-stochasticity by {v:.3e}")
     return x
@@ -261,20 +265,6 @@ class MixtureDistribution:
     policies: tuple[np.ndarray, ...]
 
     @staticmethod
-    def create(weights, profiles) -> MixtureDistribution:
-        """Build from per-component profiles: profiles[t][i] = policy of player i."""
-        w = np.asarray(weights, dtype=float)
-        _check_prob_vector(w, "mixture weights")
-        n = len(profiles[0])
-        stacked = []
-        for i in range(n):
-            arr = np.stack([np.asarray(p[i], dtype=float) for p in profiles])
-            for t in range(arr.shape[0]):
-                check_policy(arr[t], what=f"component {t} policy of player {i}")
-            stacked.append(arr)
-        return MixtureDistribution(w, tuple(stacked))
-
-    @staticmethod
     def from_stacked(weights: np.ndarray, policies: list[np.ndarray]) -> MixtureDistribution:
         w = np.asarray(weights, dtype=float)
         _check_prob_vector(w, "mixture weights")
@@ -287,9 +277,6 @@ class MixtureDistribution:
     @property
     def num_components(self) -> int:
         return int(self.weights.size)
-
-    def component(self, t: int) -> list[np.ndarray]:
-        return [p[t] for p in self.policies]
 
 
 def policy_product(lead: np.ndarray, policies) -> np.ndarray:
@@ -305,7 +292,7 @@ def policy_product(lead: np.ndarray, policies) -> np.ndarray:
     return acc
 
 
-def expected_rewards(game: BayesianGame, i: int, opponents, cap: int | None = None) -> np.ndarray:
+def expected_rewards(game: BayesianGame, i: int, opponents) -> np.ndarray:
     """Expected reward of each (theta_i, a_i) against stacked opponent policies.
 
     ``opponents`` holds the (C, K_j, M_j) policies of every j != i in player
@@ -315,7 +302,7 @@ def expected_rewards(game: BayesianGame, i: int, opponents, cap: int | None = No
     table is never built.  Components go in blocks whose partial sums hold
     about CONTRACT_BLOCK_CELLS cells.
     """
-    w = game.reward_matrix(i, cap)
+    w = game.reward_matrix(i)
     shape = (len(game.type_labels[i]), len(game.action_labels[i]))
     flat = [np.asarray(p, dtype=float).reshape(len(p), -1) for p in opponents]
     if not flat:
@@ -332,13 +319,13 @@ def expected_rewards(game: BayesianGame, i: int, opponents, cap: int | None = No
     return out.reshape((comps,) + shape)
 
 
-def mixture_to_tabular(mix: MixtureDistribution, cap: int = 10**6) -> np.ndarray:
+def mixture_to_tabular(mix: MixtureDistribution) -> np.ndarray:
     """Flatten a mixture to an explicit array over (Theta..., A...)."""
     nt = tuple(p.shape[1] for p in mix.policies)
     na = tuple(p.shape[2] for p in mix.policies)
     cells = int(np.prod(nt)) * int(np.prod(na))
-    if cells > cap:
-        raise SupportTooLarge(f"tabularization needs {cells} cells > cap {cap}")
+    if cells > TABULAR_CAP:
+        raise SupportTooLarge(f"tabularization needs {cells} cells > cap {TABULAR_CAP}")
     return policy_product(mix.weights.reshape(-1, 1, 1), mix.policies).sum(axis=0).reshape(nt + na)
 
 
@@ -392,10 +379,10 @@ class StrategyDistribution:
     probs: np.ndarray
 
     @staticmethod
-    def create(num_types, num_actions, probs, cap: int = DEFAULT_STRATEGY_CAP) -> StrategyDistribution:
+    def create(num_types, num_actions, probs) -> StrategyDistribution:
         num_types = tuple(int(k) for k in num_types)
         num_actions = tuple(int(m) for m in num_actions)
-        size = strategy_space_size_under(num_types, num_actions, cap)
+        size = strategy_space_size_under(num_types, num_actions, DEFAULT_STRATEGY_CAP)
         p = np.asarray(probs, dtype=float).reshape(-1)
         if p.size != size:
             raise BadInput(f"sigma has {p.size} entries, |S| = {size}")

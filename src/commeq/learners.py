@@ -209,14 +209,14 @@ class StrategySwapLearner:
 
     One doubling MWU over actions per (strategy, type); the emitted strategy
     distribution is the stationary distribution of the induced |S_i| x |S_i|
-    column-stochastic matrix.  Only viable for tiny strategy spaces.
+    column-stochastic matrix.  Only viable for tiny strategy spaces: |S_i| is
+    checked against DEFAULT_STRATEGY_LEARNER_CAP.
     """
 
-    def __init__(self, num_types: int, num_actions: int,
-                 cap: int = DEFAULT_STRATEGY_LEARNER_CAP):
+    def __init__(self, num_types: int, num_actions: int):
         self.K = _count(num_types, "num_types")
         self.M = _count(num_actions, "num_actions")
-        self.S = strategy_space_size_under((self.K,), (self.M,), cap)
+        self.S = strategy_space_size_under((self.K,), (self.M,), DEFAULT_STRATEGY_LEARNER_CAP)
         # (S, K) action indices
         self.table = decode_strategy_profile(np.arange(self.S), (self.K,), (self.M,))[0]
         self.bank = _DoublingBank((self.S, self.K), self.M, 1.0)

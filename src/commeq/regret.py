@@ -174,7 +174,7 @@ def untruthful_witness(ledger: RegretLedger) -> tuple[np.ndarray, np.ndarray, fl
     return psi, phi, value
 
 
-def strategy_regret(sigmas, rewards, prior_row, cap: int = DEFAULT_LP_CAP) -> float:
+def strategy_regret(sigmas, rewards, prior_row) -> float:
     """Exact strategy swap regret of a played trace of strategy distributions.
 
     ``sigmas`` is (T, |S|) over the mixed-radix strategy set, ``rewards`` is
@@ -186,8 +186,8 @@ def strategy_regret(sigmas, rewards, prior_row, cap: int = DEFAULT_LP_CAP) -> fl
     rho = np.asarray(prior_row, dtype=float)
     t, s = sig.shape
     k, m = u.shape[1], u.shape[2]
-    if s > cap:
-        raise SupportTooLarge(f"|S| = {s} exceeds cap {cap}")
+    if s > DEFAULT_LP_CAP:
+        raise SupportTooLarge(f"|S| = {s} exceeds cap {DEFAULT_LP_CAP}")
     if u.shape[0] != t or m ** k != s or rho.size != k:
         raise BadInput("trace shapes disagree")
     table = decode_strategy_profile(np.arange(s), (k,), (m,))[0]

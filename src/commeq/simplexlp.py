@@ -28,9 +28,7 @@ class FeasibilityResult:
     objective: float              # residual infeasibility mass
 
 
-def solve_equality_feasibility(a: np.ndarray, b: np.ndarray,
-                               feasible_tol: float = FEASIBLE_TOL,
-                               infeasible_tol: float = INFEASIBLE_TOL) -> FeasibilityResult:
+def solve_equality_feasibility(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float).copy()
     m, n = a.shape
@@ -70,16 +68,16 @@ def solve_equality_feasibility(a: np.ndarray, b: np.ndarray,
         basis[leaving] = entering
 
     objective = -float(tab[m, -1])
-    if objective <= feasible_tol:
+    if objective <= FEASIBLE_TOL:
         x = np.zeros(n)
         for r, j in enumerate(basis):
             if j < n:
                 x[j] = tab[r, -1]
         np.clip(x, 0.0, None, out=x)
         return FeasibilityResult(True, x, None, objective)
-    if objective < infeasible_tol:
+    if objective < INFEASIBLE_TOL:
         raise NumericallyAmbiguous(
-            f"phase-1 objective {objective:.3e} inside ({feasible_tol:.0e}, {infeasible_tol:.0e})")
+            f"phase-1 objective {objective:.3e} inside ({FEASIBLE_TOL:.0e}, {INFEASIBLE_TOL:.0e})")
     # duals: reduced cost of artificial j is 1 - y_j
     y = 1.0 - tab[m, n:n + m]
     return FeasibilityResult(False, None, signs * y, objective)

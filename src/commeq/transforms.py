@@ -24,6 +24,7 @@ PLATEAU_STRIDE = 100             # power-iteration steps between plateau checks
 SWEEP_BLOCK = 8                  # steps between residual checks, on transforms
 SWEEP_BLOCK_CELLS = 128 * 128    # of at most this many cells
 VERTEX_CHECK_CAP = 4096
+VALIDITY_TOL = 1e-9              # linear_to_transform: slack of an image of a vertex policy
 
 
 @dataclass(frozen=True)
@@ -203,9 +204,8 @@ def _fixed_points(dense: np.ndarray, seed: np.ndarray, tol: float, cap: int,
     return x
 
 
-def fixed_point(q: SwapTransform, tol: float = FIXED_POINT_TOL,
-                seed_policy: np.ndarray | None = None) -> np.ndarray:
-    """A policy x with ||Qx - x||_inf <= tol.
+def fixed_point(q: SwapTransform, seed_policy: np.ndarray | None = None) -> np.ndarray:
+    """A policy x with ||Qx - x||_inf <= FIXED_POINT_TOL.
 
     Power iteration from the seed (uniform by default); for strictly positive
     transforms the normalized fixed direction is unique and iteration
@@ -217,7 +217,8 @@ def fixed_point(q: SwapTransform, tol: float = FIXED_POINT_TOL,
     """
     k, m = q.num_types, q.num_actions
     seed = uniform_policy(k, m) if seed_policy is None else np.asarray(seed_policy, dtype=float)
-    x = _fixed_points(q.dense()[None], seed.reshape(1, k * m), tol, FIXED_POINT_CAP, k)
+    x = _fixed_points(q.dense()[None], seed.reshape(1, k * m), FIXED_POINT_TOL,
+                      FIXED_POINT_CAP, k)
     return x.reshape(k, m)
 
 
@@ -242,16 +243,15 @@ def vertex_policies(num_types: int, num_actions: int):
         yield x
 
 
-def linear_to_transform(m: np.ndarray, num_types: int, num_actions: int,
-                        tol: float = 1e-9, vertex_cap: int = VERTEX_CHECK_CAP,
-                        rng: np.random.Generator | None = None) -> SwapTransform:
+def linear_to_transform(m: np.ndarray, num_types: int, num_actions: int) -> SwapTransform:
     """Convert any linear map that is valid on the policy space into a member
     of the transform polytope acting identically on that space.
 
-    Validity is checked on every vertex policy when |A|^|Theta| is within the
-    cap, on sampled vertices otherwise.  The conversion shifts each row by
-    per-block constants summing to zero, absorbing the slack into the last
-    type's block; by construction this never changes Mx for row-stochastic x.
+    Validity is checked on every vertex policy when |A|^|Theta| is within
+    VERTEX_CHECK_CAP, on that many sampled vertices otherwise.  The
+    conversion shifts each row by per-block constants summing to zero,
+    absorbing the slack into the last type's block; by construction this
+    never changes Mx for row-stochastic x.
     """
     k, mm = num_types, num_actions
     d = k * mm
@@ -260,12 +260,12 @@ def linear_to_transform(m: np.ndarray, num_types: int, num_actions: int,
         raise BadInput(f"matrix must be {d}x{d}, got {mat.shape}")
 
     n_vertices = mm ** k
-    if n_vertices <= vertex_cap:
+    if n_vertices <= VERTEX_CHECK_CAP:
         vertices = vertex_policies(k, mm)
     else:
-        rng = rng or np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         def _sampled():
-            for _ in range(vertex_cap):
+            for _ in range(VERTEX_CHECK_CAP):
                 assignment = rng.integers(0, mm, size=k)
                 x = np.zeros((k, mm))
                 x[np.arange(k), assignment] = 1.0
@@ -273,7 +273,7 @@ def linear_to_transform(m: np.ndarray, num_types: int, num_actions: int,
         vertices = _sampled()
     for x in vertices:
         y = (mat @ x.reshape(d)).reshape(k, mm)
-        if y.min() < -tol or np.abs(y.sum(axis=1) - 1.0).max() > tol:
+        if y.min() < -VALIDITY_TOL or np.abs(y.sum(axis=1) - 1.0).max() > VALIDITY_TOL:
             raise NotValidOnX("map sends a vertex policy outside the policy space")
 
     m4 = mat.reshape(k, mm, k, mm)

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditError, BadInput, SupportTooLarge
-from .game import (DEFAULT_ENUMERATION_CAP, DEFAULT_LP_CAP, BayesianGame,
-                   MixtureDistribution, StrategyDistribution, decode_strategy_profile,
-                   expected_rewards, mixture_to_tabular, reward_axes, strategy_space_size,
-                   strategy_space_size_under)
+from .game import (DEFAULT_LP_CAP, BayesianGame, MixtureDistribution, StrategyDistribution,
+                   decode_strategy_profile, expected_rewards, mixture_to_tabular,
+                   policy_product, reward_axes, strategy_space_size, strategy_space_size_under)
 from .regret import RegretLedger, first_near_max, typewise_regret, untruthful_witness
 from .simplexlp import solve_equality_feasibility
 
 WITNESS_TOL = 1e-9
+INDEPENDENCE_TOL = 1e-9          # conditional_independence: largest gap that passes
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ class EquilibriumCertificate:
         }
 
 
-def deviation_tensor(game: BayesianGame, i: int, dist,
-                     cap: int = DEFAULT_ENUMERATION_CAP) -> RegretLedger:
+def deviation_tensor(game: BayesianGame, i: int, dist) -> RegretLedger:
     """Player i's deviation ledger, contracted against ``game.reward_matrix(i)``.
 
     ``dist`` is a mixture or an explicit array over (Theta..., A...).
@@ -65,12 +64,12 @@ def deviation_tensor(game: BayesianGame, i: int, dist,
     k, m = nt[i], na[i]
     if isinstance(dist, MixtureDistribution):
         others = [p for j, p in enumerate(dist.policies) if j != i]
-        per_round = expected_rewards(game, i, others, cap).reshape(-1, k * m)
+        per_round = expected_rewards(game, i, others).reshape(-1, k * m)
         flat = (dist.weights[:, None] * per_round).T @ dist.policies[i].reshape(-1, k * m)
     elif isinstance(dist, StrategyDistribution):
         raise BadInput("type-wise classes audit a tabular or mixture distribution")
     else:
-        w = game.reward_matrix(i, cap)
+        w = game.reward_matrix(i)
         pi = np.asarray(dist, dtype=float)
         if pi.shape != nt + na:
             raise BadInput(f"tabular distribution must have shape {nt + na}")
@@ -81,25 +80,22 @@ def deviation_tensor(game: BayesianGame, i: int, dist,
     return RegretLedger(rho, (rho[:, None, None, None] * gains).swapaxes(1, 2), truthful)
 
 
-def _certify(klass, gains_witnesses, representable=None, product_gap=None):
+def _certify(klass, gains_witnesses, representable=None):
     eps = max(max(0.0, d.gain) for d in gains_witnesses)
-    return EquilibriumCertificate(klass, eps, tuple(gains_witnesses),
-                                  representable, product_gap)
+    return EquilibriumCertificate(klass, eps, tuple(gains_witnesses), representable)
 
 
-def comm_eq_epsilon(game: BayesianGame, dist, cap: int = DEFAULT_ENUMERATION_CAP
-                    ) -> EquilibriumCertificate:
+def comm_eq_epsilon(game: BayesianGame, dist) -> EquilibriumCertificate:
     """Best (type misreport, action swap) advantage per player, clamped at 0."""
     devs = []
     for i in range(game.n):
-        psi, phi, gain = untruthful_witness(deviation_tensor(game, i, dist, cap))
+        psi, phi, gain = untruthful_witness(deviation_tensor(game, i, dist))
         devs.append(PlayerDeviation(i, gain, {"psi": psi.tolist(), "phi": phi.tolist()}))
     return _certify("comm", devs)
 
 
-def anf_bs_epsilon(game: BayesianGame, dist, cap: int = DEFAULT_ENUMERATION_CAP,
-                   check_representability: bool = True,
-                   lp_cap: int = DEFAULT_LP_CAP) -> EquilibriumCertificate:
+def anf_bs_epsilon(game: BayesianGame, dist,
+                   check_representability: bool = True) -> EquilibriumCertificate:
     """Action-swap-only advantage (truthful reporting pinned).
 
     The certificate additionally records strategy representability when the
@@ -108,28 +104,26 @@ def anf_bs_epsilon(game: BayesianGame, dist, cap: int = DEFAULT_ENUMERATION_CAP,
     """
     devs = []
     for i in range(game.n):
-        ledger = deviation_tensor(game, i, dist, cap)
+        ledger = deviation_tensor(game, i, dist)
         diag = np.einsum("iiab->iba", ledger.cross)        # (K, M_rec, M_played)
         phi = first_near_max(diag, np.abs(diag))
         devs.append(PlayerDeviation(i, typewise_regret(ledger), {"phi": phi.tolist()}))
     representable = None
     if check_representability:
         try:
-            rep = strategy_representable(_to_tabular(game, dist), cap=lp_cap)
+            rep = strategy_representable(_to_tabular(dist))
             representable = rep.feasible
         except SupportTooLarge:
             representable = None
     return _certify("anf-bs", devs, representable)
 
 
-def bne_epsilon(game: BayesianGame, dist, cap: int = DEFAULT_ENUMERATION_CAP
-                ) -> EquilibriumCertificate:
+def bne_epsilon(game: BayesianGame, dist) -> EquilibriumCertificate:
     """Bayes Nash check in the agent normal form: action-swap gains plus a
     type-wise-product test on the distribution itself."""
-    base = anf_bs_epsilon(game, dist, cap, check_representability=False)
-    gap = typewise_product_gap(_to_tabular(game, dist), game.n)
-    return EquilibriumCertificate("bne", base.epsilon, base.per_player,
-                                  None, gap)
+    base = anf_bs_epsilon(game, dist, check_representability=False)
+    gap = typewise_product_gap(_to_tabular(dist), game.n)
+    return EquilibriumCertificate("bne", base.epsilon, base.per_player, None, gap)
 
 
 def typewise_product_gap(pi: np.ndarray, n: int) -> float:
@@ -146,18 +140,12 @@ def typewise_product_gap(pi: np.ndarray, n: int) -> float:
         mean = marg_i.mean(axis=1)
         gap = max(gap, float(np.abs(marg_i - mean[:, None, :]).max()))
         factors.append(mean)
-    recon = np.ones(())
-    for i in range(n):
-        recon = np.multiply.outer(recon, factors[i])      # types and actions interleaved
-    order = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
-    recon = recon.transpose(order)
+    recon = policy_product(np.ones((1, 1, 1)), [f[None] for f in factors]).reshape(pi.shape)
     gap = max(gap, float(np.abs(recon - pi).max()))
     return gap
 
 
-def coarse_epsilon(game: BayesianGame, dist, klass: str,
-                   cap: int = DEFAULT_ENUMERATION_CAP,
-                   strategy_cap: int = DEFAULT_LP_CAP) -> EquilibriumCertificate:
+def coarse_epsilon(game: BayesianGame, dist, klass: str) -> EquilibriumCertificate:
     """Coarse classes: fixed deviations that ignore the recommendation.
 
     "coarse-bs" audits a type-wise distribution; "sfcce" and "anfcce" audit an
@@ -166,7 +154,7 @@ def coarse_epsilon(game: BayesianGame, dist, klass: str,
     if klass == "coarse-bs":
         devs = []
         for i in range(game.n):
-            diag = np.einsum("iiab->iba", deviation_tensor(game, i, dist, cap).cross)
+            diag = np.einsum("iiab->iba", deviation_tensor(game, i, dist).cross)
             truthful_by_type = np.einsum("ibb->ib", diag).sum(axis=1)
             gains = diag.sum(axis=1) - truthful_by_type[:, None]     # (K, M_dev)
             magnitude = np.abs(diag).sum(axis=1) + np.abs(truthful_by_type)[:, None]
@@ -176,17 +164,16 @@ def coarse_epsilon(game: BayesianGame, dist, klass: str,
         raise BadInput(f"unknown coarse class {klass!r}")
     if not isinstance(dist, StrategyDistribution):
         raise BadInput(f"class {klass!r} audits an explicit strategy distribution")
-    return _sigma_epsilon(game, dist, klass, strategy_cap)
+    return _sigma_epsilon(game, dist, klass)
 
 
-def sfce_epsilon(game: BayesianGame, sigma: StrategyDistribution,
-                 strategy_cap: int = DEFAULT_LP_CAP) -> EquilibriumCertificate:
+def sfce_epsilon(game: BayesianGame, sigma: StrategyDistribution) -> EquilibriumCertificate:
     """Full strategy-swap deviations on a strategy distribution (tiny games)."""
-    return _sigma_epsilon(game, sigma, "sfce", strategy_cap)
+    return _sigma_epsilon(game, sigma, "sfce")
 
 
-def _sigma_epsilon(game: BayesianGame, sigma: StrategyDistribution, klass: str,
-                   cap: int) -> EquilibriumCertificate:
+def _sigma_epsilon(game: BayesianGame, sigma: StrategyDistribution,
+                   klass: str) -> EquilibriumCertificate:
     """Strategy-space classes as per-type reductions of one tensor per player.
 
     R[t, theta_i, a_i] is the prior-weighted payoff of type theta_i playing a_i
@@ -194,8 +181,8 @@ def _sigma_epsilon(game: BayesianGame, sigma: StrategyDistribution, klass: str,
     sum of one R entry per type, so every maximum over S_i is taken type by
     type, and the first maximiser per type is the first maximiser in S_i.
     """
-    if sigma.size > cap:
-        raise SupportTooLarge(f"|S| = {sigma.size} exceeds cap {cap}")
+    if sigma.size > DEFAULT_LP_CAP:
+        raise SupportTooLarge(f"|S| = {sigma.size} exceeds cap {DEFAULT_LP_CAP}")
     if sigma.num_types != game.num_types or sigma.num_actions != game.num_actions:
         raise BadInput("strategy distribution dims disagree with the game")
     support = np.flatnonzero(sigma.probs)
@@ -269,24 +256,24 @@ class RepresentabilityResult:
     infeasibility: float      # infeasible: certified violation mass
 
 
-def strategy_representable(pi: np.ndarray, cap: int = DEFAULT_LP_CAP
-                           ) -> RepresentabilityResult:
+def strategy_representable(pi: np.ndarray) -> RepresentabilityResult:
     """Linear feasibility: is pi the type-profile-wise push-forward of some
     distribution over full strategy profiles?
 
     ``pi`` is an explicit array over (Theta..., A...).  Feasible outcomes
     carry a witness sigma; infeasible ones carry a Farkas row separating pi
-    from every representable distribution.
+    from every representable distribution.  The LP's |S| columns are checked
+    against DEFAULT_LP_CAP.
     """
     pi = np.asarray(pi, dtype=float)
     n = pi.ndim // 2
     nt, na = pi.shape[:n], pi.shape[n:]
-    size = strategy_space_size_under(nt, na, cap)
+    size = strategy_space_size_under(nt, na, DEFAULT_LP_CAP)
     a_mat = np.vstack([_profile_matrix(nt, na), np.ones((1, size))])
     b = np.concatenate([pi.reshape(-1), [1.0]])
     res = solve_equality_feasibility(a_mat, b)
     if res.feasible:
-        sigma = StrategyDistribution.create(nt, na, res.x / res.x.sum(), cap=max(cap, size))
+        sigma = StrategyDistribution.create(nt, na, res.x / res.x.sum())
         err = float(np.abs(a_mat[:-1] @ sigma.probs - pi.reshape(-1)).max())
         if err > 1e-7:
             raise AuditError(f"feasible witness reproduces marginals only to {err:.3e}")
@@ -312,7 +299,7 @@ def _profile_matrix(nt, na) -> np.ndarray:
     return out
 
 
-def _to_tabular(game: BayesianGame, dist) -> np.ndarray:
+def _to_tabular(dist) -> np.ndarray:
     if isinstance(dist, MixtureDistribution):
         return mixture_to_tabular(dist)
     return np.asarray(dist, dtype=float)
@@ -321,7 +308,7 @@ def _to_tabular(game: BayesianGame, dist) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # conditional independence
 
-def conditional_independence(prior, pi: np.ndarray, tol: float = 1e-9):
+def conditional_independence(prior, pi: np.ndarray):
     """Check that each player's action is conditionally independent of the
     others' types given their own type.
 
@@ -353,6 +340,6 @@ def conditional_independence(prior, pi: np.ndarray, tol: float = 1e-9):
                 profile = list(others)
                 profile.insert(i, theta)
                 worst = (g, (i, tuple(int(x) for x in profile), int(a_i)))
-    if worst[0] > tol:
+    if worst[0] > INDEPENDENCE_TOL:
         return False, worst[1]
     return True, None

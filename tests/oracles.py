@@ -702,6 +702,19 @@ def strategy_to_mixture(sigma):
     return MixtureDistribution.from_stacked(sigma.probs[support], policies)
 
 
+def mixture(weights, profiles):
+    """A mixture from per-component profiles, profiles[t][i] = the policy of
+    player i, each component policy checked as a policy."""
+    from commeq.game import MixtureDistribution, check_policy
+    stacked = []
+    for i in range(len(profiles[0])):
+        arr = np.stack([np.asarray(p[i], dtype=float) for p in profiles])
+        for t in range(arr.shape[0]):
+            check_policy(arr[t], what=f"component {t} policy of player {i}")
+        stacked.append(arr)
+    return MixtureDistribution.from_stacked(weights, stacked)
+
+
 def random_transform(rng, num_types, num_actions, positive=True):
     """A random interior member; with positive=True every dense entry is > 0."""
     from commeq.transforms import SwapTransform

@@ -164,7 +164,7 @@ def test_criterion_05_fixed_point_suite():
         q = random_transform(rng, k, m, positive=True)
         x = fixed_point(q)
         worst_res = max(worst_res, float(np.abs(apply_transform(q, x) - x).max()))
-        worst_policy = max(worst_policy, policy_violation(x, 0.0))
+        worst_policy = max(worst_policy, policy_violation(x))
     assert worst_res <= 1e-8
     assert worst_policy <= 1e-8
     print(f"\n[criterion 05] PASS 1000 fixed points: residual <= {worst_res:.2e}, "
@@ -179,7 +179,6 @@ def test_criterion_06_representability():
     rng = np.random.default_rng(6)
     shapes = [((2, 2), (2, 2)), ((2, 2), (3, 2)), ((2, 2), (4, 4)), ((3, 1), (2, 3))]
     worst = 0.0
-    from commeq.game import MixtureDistribution
     for case in range(100):
         nt, na = shapes[case % len(shapes)]
         profiles = []
@@ -190,7 +189,7 @@ def test_criterion_06_representability():
                 prof.append(p / p.sum(axis=1, keepdims=True))
             profiles.append(prof)
         w = rng.random(len(profiles))
-        mix = MixtureDistribution.create(w / w.sum(), profiles)
+        mix = oracles.mixture(w / w.sum(), profiles)
         out = strategy_representable(mixture_to_tabular(mix))
         assert out.feasible
         assert out.marginal_error <= 1e-7

@@ -33,7 +33,7 @@ from commeq.poa import SmoothnessSpec, check_smoothness
 from commeq.regret import RegretLedger
 from commeq.verifier import strategy_representable
 
-from .fixture_files import FIXTURES, auction, auction_spec, game as fixture_game
+from .fixture_files import FIXTURES, auction, auction_spec, distribution, game as fixture_game
 
 MATCHING = os.path.join(FIXTURES, "matching_game.json")
 
@@ -460,6 +460,48 @@ def test_fuzz_near_the_caps(cap, over, data):
         assert code == 2 and "cap" in err.getvalue() and peak < 2**22, (code, peak, argv)
     else:
         assert code == 0, (err.getvalue(), argv)
+
+
+CAP_ENTRIES = ("comm_eq_epsilon", "sfce_epsilon", "sfcce", "anfcce", "strategy_representable",
+               "strategy_regret", "StrategySwapLearner", "mixture_to_tabular",
+               "StrategyDistribution")
+
+
+@pytest.mark.parametrize("entry", CAP_ENTRIES)
+def test_each_cap_is_read_when_its_entry_runs(entry, monkeypatch):
+    """Every cap is a module constant that its entry reads on each call, so
+    patching it moves the limit: an input exactly at the patched cap passes
+    and one past it raises the cap's error through the public entry."""
+    from commeq import learners, regret, verifier
+    matching = fixture_game("matching_game")       # 2 players, 2 types, 2 actions each
+    mix = game_module.MixtureDistribution.from_stacked([1.0], [np.full((1, 2, 2), 0.5)] * 2)
+    coarse = fixture_game("correlated_coarse_game")
+    sigma = distribution("correlated_coarse_sigma", "correlated_coarse_game")   # |S| = 16
+    lp = (verifier, "DEFAULT_LP_CAP", 16, SupportTooLarge)
+    module, name, size, error, call = {
+        "comm_eq_epsilon": (game_module, "DEFAULT_ENUMERATION_CAP", 4, EnumerationTooLarge,
+                            lambda: verifier.comm_eq_epsilon(matching, mix)),
+        "sfce_epsilon": lp + (lambda: verifier.sfce_epsilon(coarse, sigma),),
+        "sfcce": lp + (lambda: verifier.coarse_epsilon(coarse, sigma, "sfcce"),),
+        "anfcce": lp + (lambda: verifier.coarse_epsilon(coarse, sigma, "anfcce"),),
+        "strategy_representable": lp + (
+            lambda: verifier.strategy_representable(np.full((2, 2, 2, 2), 0.25)),),
+        "strategy_regret": (regret, "DEFAULT_LP_CAP", 4, SupportTooLarge,
+                            lambda: regret.strategy_regret(np.full((3, 4), 0.25),
+                                                           np.full((3, 2, 2), 0.5), [0.5, 0.5])),
+        "StrategySwapLearner": (learners, "DEFAULT_STRATEGY_LEARNER_CAP", 8, SupportTooLarge,
+                                lambda: learners.StrategySwapLearner(3, 2)),
+        "mixture_to_tabular": (game_module, "TABULAR_CAP", 16, SupportTooLarge,
+                               lambda: game_module.mixture_to_tabular(mix)),
+        "StrategyDistribution": (game_module, "DEFAULT_STRATEGY_CAP", 16, SupportTooLarge,
+                                 lambda: StrategyDistribution.create((2, 2), (2, 2),
+                                                                     np.full(16, 1 / 16))),
+    }[entry]
+    monkeypatch.setattr(module, name, size)
+    call()
+    monkeypatch.setattr(module, name, size - 1)
+    with pytest.raises(error, match="cap"):
+        call()
 
 
 def test_simulate_makes_its_out_dir_before_the_run(tmp_path, capsys, monkeypatch):

@@ -7,18 +7,18 @@ from commeq import dynamics
 from commeq.dynamics import (DynamicsConfig, exact_reward, run_dynamics, sample_count,
                              sampled_reward, _round_rng)
 from commeq.errors import BadInput, EnumerationTooLarge
-from commeq.game import (BayesianGame, MixtureDistribution, PriorModel,
-                         mixture_to_tabular, uniform_policy)
+from commeq import game as game_module
+from commeq.game import BayesianGame, PriorModel, mixture_to_tabular, uniform_policy
 from commeq.regret import untruthful_regret
 from commeq.verifier import comm_eq_epsilon, strategy_representable
 
 from .fixture_files import game as fixture_game
-from .oracles import mixture_eval
+from .oracles import mixture, mixture_eval
 
 
 def empirical_distribution(profiles):
     """Uniform-weight mixture of per-round product profiles."""
-    return MixtureDistribution.create(np.full(len(profiles), 1.0 / len(profiles)), profiles)
+    return mixture(np.full(len(profiles), 1.0 / len(profiles)), profiles)
 
 
 def test_exact_reward_single_player():
@@ -51,10 +51,11 @@ def test_exact_reward_hand_enumeration():
             assert u[th, a] == pytest.approx(want)
 
 
-def test_exact_reward_cap():
+def test_exact_reward_cap(monkeypatch):
     game = fixture_game("matching_game")
+    monkeypatch.setattr(game_module, "DEFAULT_ENUMERATION_CAP", 3)
     with pytest.raises(EnumerationTooLarge):
-        exact_reward(game, 0, [None, uniform_policy(2, 2)], cap=3)
+        exact_reward(game, 0, [None, uniform_policy(2, 2)])
 
 
 def test_sample_count_formula():

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from commeq.errors import BadInput, SupportTooLarge
-from commeq.game import (BayesianGame, MixtureDistribution, PriorModel,
-                         StrategyDistribution, decode_strategy_profile,
+from commeq.game import (BayesianGame, PriorModel, StrategyDistribution, decode_strategy_profile,
                          game_from_json_dict, game_to_json_dict, mixture_to_tabular,
                          strategy_space_size, save_game, uniform_policy, validate_game)
 
 from . import fixture_files
-from .oracles import mixture_eval, strategy_to_mixture
+from .oracles import mixture, mixture_eval, strategy_to_mixture
 
 
 def encode_strategy_profile(s, num_actions):
@@ -123,7 +122,7 @@ def test_conditional_prior_single_player():
 
 
 def test_mixture_eval_uniform():
-    mix = MixtureDistribution.create([1.0], [[uniform_policy(2, 2), uniform_policy(2, 2)]])
+    mix = mixture([1.0], [[uniform_policy(2, 2), uniform_policy(2, 2)]])
     for theta in np.ndindex(2, 2):
         for act in np.ndindex(2, 2):
             assert mixture_eval(mix, theta, act) == pytest.approx(0.25)
@@ -132,7 +131,7 @@ def test_mixture_eval_uniform():
 def test_mixture_eval_point_masses():
     e0 = np.array([[1.0, 0.0]])
     e1 = np.array([[0.0, 1.0]])
-    mix = MixtureDistribution.create([0.5, 0.5], [[e0, e0], [e1, e1]])
+    mix = mixture([0.5, 0.5], [[e0, e0], [e1, e1]])
     assert mixture_eval(mix, (0, 0), (0, 0)) == pytest.approx(0.5)
     assert mixture_eval(mix, (0, 0), (1, 1)) == pytest.approx(0.5)
     assert mixture_eval(mix, (0, 0), (0, 1)) == 0.0
@@ -148,7 +147,7 @@ def test_mixture_marginals_sum_to_one():
             prof.append(p / p.sum(axis=1, keepdims=True))
         profiles.append(prof)
     w = rng.random(5)
-    mix = MixtureDistribution.create(w / w.sum(), profiles)
+    mix = mixture(w / w.sum(), profiles)
     tab = mixture_to_tabular(mix)
     sums = tab.reshape(2 * 3, -1).sum(axis=1)
     assert np.allclose(sums, 1.0, atol=1e-9)
@@ -200,7 +199,7 @@ def test_strategy_encoding_roundtrip():
 
 def test_strategy_cap():
     with pytest.raises(SupportTooLarge):
-        StrategyDistribution.create((10, 10), (10, 10), np.zeros(4), cap=10**6)
+        StrategyDistribution.create((10, 10), (10, 10), np.zeros(4))
 
 
 def test_guessing_witness_matches_distribution():

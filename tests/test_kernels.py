@@ -192,7 +192,7 @@ def test_reward_kernel_matches_einsum_reference(monkeypatch):
         tab = rng.random(nt + na) * (rng.random(nt + na) < 0.7)      # zero cells
         tab.reshape(-1)[0] += 1.0
         tab /= tab.sum()
-        profile = mix.component(0)
+        profile = [p[0] for p in mix.policies]
         for i in range(game.n):
             np.testing.assert_allclose(exact_reward(game, i, profile),
                                        reference_exact_reward(game, i, profile),
@@ -209,7 +209,7 @@ def test_reward_kernel_matches_einsum_reference(monkeypatch):
     assert spanned > 0
 
 
-def test_enumeration_cap_raises_before_the_reward_matrix_is_built():
+def test_enumeration_cap_raises_before_the_reward_matrix_is_built(monkeypatch):
     rng = np.random.default_rng(17)
     while True:
         game = random_game(rng, dyadic=False)
@@ -217,11 +217,12 @@ def test_enumeration_cap_raises_before_the_reward_matrix_is_built():
             break
     mix = random_mixture(rng, game, 3)
     tab = mixture_to_tabular(mix)
+    monkeypatch.setattr(game_module, "DEFAULT_ENUMERATION_CAP", 1)
     with pytest.raises(EnumerationTooLarge):
-        exact_reward(game, 0, mix.component(0), cap=1)
+        exact_reward(game, 0, [p[0] for p in mix.policies])
     for dist in (mix, tab):
         with pytest.raises(EnumerationTooLarge):
-            deviation_tensor(game, 0, dist, cap=1)
+            deviation_tensor(game, 0, dist)
     assert game._flat_payoffs == {}
 
 

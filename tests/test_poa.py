@@ -3,11 +3,12 @@ import pytest
 
 from commeq.dynamics import DynamicsConfig, run_dynamics
 from commeq.errors import AssumptionViolated, BadInput, NotAnEquilibrium
-from commeq.game import BayesianGame, MixtureDistribution, PriorModel
+from commeq.game import BayesianGame, PriorModel
 from commeq.poa import (QuasilinearGame, SmoothnessSpec, check_smoothness,
                         poa_report, validate_quasilinear)
 
 from .fixture_files import auction, auction_spec, game as fixture_game
+from .oracles import mixture
 
 
 def identity_spec(game, lam, mu, mode="game"):
@@ -96,7 +97,7 @@ def test_poa_report_point_mass_optimum():
     game = BayesianGame.create([["a", "b"], ["a", "b"]], [["l", "r"], ["l", "r"]],
                                prior, [v, v], "own-type")
     point = np.array([[1.0, 0.0], [1.0, 0.0]])
-    mix = MixtureDistribution.create([1.0], [[point, point]])
+    mix = mixture([1.0], [[point, point]])
     spec = constant_spec(game, 0.4, 1.0)   # "switch to the good action"
     assert check_smoothness(game, spec).passed
     report = poa_report(game, mix, spec, eps_tol=1e-9)
@@ -107,7 +108,7 @@ def test_poa_report_point_mass_optimum():
 def test_poa_zero_welfare_convention():
     game = fixture_game("zero_payoff_game")
     point = np.array([[1.0, 0.0], [1.0, 0.0]])
-    mix = MixtureDistribution.create([1.0], [[point, point]])
+    mix = mixture([1.0], [[point, point]])
     report = poa_report(game, mix, identity_spec(game, 1.0, 0.0), eps_tol=1e-9)
     assert report.ratio == 1.0
     assert report.opt_welfare == 0.0
@@ -126,7 +127,7 @@ def test_poa_rejects_non_equilibrium():
     game = BayesianGame.create([["a", "b"], ["a", "b"]], [["l", "r"], ["l", "r"]],
                                prior, [v0, v1], "own-type")
     bad_point = np.array([[0.0, 1.0], [0.0, 1.0]])
-    mix = MixtureDistribution.create([1.0], [[bad_point, bad_point]])
+    mix = mixture([1.0], [[bad_point, bad_point]])
     spec = constant_spec(game, 1.0, 0.0)
     assert check_smoothness(game, spec).passed
     with pytest.raises(NotAnEquilibrium):

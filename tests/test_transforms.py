@@ -115,7 +115,7 @@ def test_fixed_point_permutation_fallback():
     seed = np.array([[0.9, 0.1], [0.3, 0.7]])
     x = fixed_point(q, seed_policy=seed)
     assert np.abs(apply_transform(q, x) - x).max() <= 1e-10
-    assert policy_violation(x, 1e-9) <= 1e-9
+    assert policy_violation(x) <= 1e-9
 
 
 def test_membership_closure_random_pairs():
@@ -135,9 +135,9 @@ def test_membership_closure_random_pairs():
 def test_fixed_point_residual_property(seed, k, m):
     rng = np.random.default_rng(seed)
     q = random_transform(rng, k, m)
-    x = fixed_point(q, tol=1e-10)
+    x = fixed_point(q)
     assert np.abs(apply_transform(q, x) - x).max() <= 1e-10
-    assert policy_violation(x, 1e-9) <= 1e-9
+    assert policy_violation(x) <= 1e-9
 
 
 def _random_deviation_mix(rng, k, m, count=5):

@@ -12,7 +12,7 @@ from commeq.verifier import (anf_bs_epsilon, bne_epsilon, coarse_epsilon,
                              strategy_representable, typewise_product_gap)
 
 from .fixture_files import distribution, game as fixture_game
-from .oracles import enumerate_comm_gain, strategy_to_mixture
+from .oracles import enumerate_comm_gain, mixture, strategy_to_mixture
 
 
 def random_mixture(rng, num_types, num_actions, components):
@@ -24,8 +24,7 @@ def random_mixture(rng, num_types, num_actions, components):
             prof.append(p / p.sum(axis=1, keepdims=True))
         profiles.append(prof)
     w = rng.random(components)
-    from commeq.game import MixtureDistribution
-    return MixtureDistribution.create(w / w.sum(), profiles)
+    return mixture(w / w.sum(), profiles)
 
 
 def random_game(rng, num_types, num_actions, tabular_prior=False):
@@ -317,7 +316,7 @@ def test_feasible_witness_reproduces_marginals():
 
 def test_representable_cap():
     with pytest.raises(SupportTooLarge):
-        strategy_representable(np.full((3, 3, 3, 3, 3, 3), 1 / 27), cap=100)
+        strategy_representable(np.full((3, 3, 3, 3, 3, 3), 1 / 27))
 
 
 # ---------------------------------------------------------------------------
