@@ -24,8 +24,8 @@ from .errors import BadDims, BadInput, SupportTooLarge
 from .game import (BayesianGame, MixtureDistribution, expected_rewards, open_output,
                    policy_product)
 from .learners import StrategySwapLearner, TypewiseSwapLearner, UntruthfulSwapLearner
-from .regret import (RegretLedger, accumulate, external_regret, typewise_regret,
-                     untruthful_bound, untruthful_regret)
+from .regret import (RegretLedger, accumulate, block_rounds, external_regret,
+                     typewise_regret, untruthful_bound, untruthful_regret)
 
 SAMPLE_CAP = 2**22               # Monte-Carlo samples per entry of a sampled reward
 
@@ -42,7 +42,6 @@ class DynamicsConfig:
     delta: float = 0.05                 # sampled mode failure probability
     seed: int = 0
     threads: int = 1
-    curve_stride: int = 1               # 0 disables the per-round regret curve
 
     def learner_kinds(self, n: int) -> tuple[str, ...]:
         kinds = (self.learners,) * n if isinstance(self.learners, str) else tuple(self.learners)
@@ -138,9 +137,8 @@ class _Group:
     players: list[int]
     learner: object
     ledger: RegretLedger
-    played: np.ndarray | None = None       # this round's (B, K, M) policies
+    rewards: list                          # this block's (B, K, M) rewards so far
     prev: np.ndarray | None = None         # the reward the learner is fed next
-    curve: tuple = ()                      # external, typewise, untruthful, bound
 
 
 def _make_groups(game: BayesianGame, kinds: tuple[str, ...],
@@ -161,7 +159,7 @@ def _make_groups(game: BayesianGame, kinds: tuple[str, ...],
             learner = TypewiseSwapLearner(rows, na)
         else:
             learner = StrategySwapLearner(nt, na)
-        groups.append(_Group(kind, players, learner, RegretLedger.create(rows, na)))
+        groups.append(_Group(kind, players, learner, RegretLedger.create(rows, na), []))
     return groups
 
 
@@ -178,11 +176,12 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
         sample_count(config.epsilon, config.delta, game.n, t_max, max_ta)
     kinds = config.learner_kinds(game.n)
     groups = _make_groups(game, kinds, config)
-    slot = {i: (g, b) for g in groups for b, i in enumerate(g.players)}
+    block = block_rounds(*(g.ledger for g in groups))
     policy_trace = [np.empty((t_max, game.num_types[i], game.num_actions[i]))
                     for i in range(game.n)]
-    curve_rows: list[list[float]] = []
-    policies: list[np.ndarray | None] = [None] * game.n
+    curve = np.empty((t_max, game.n, 6))
+    curve[:, :, 0] = np.arange(1, t_max + 1)[:, None]
+    curve[:, :, 1] = np.arange(game.n)
 
     # exact rewards make numpy calls too small to release the interpreter lock
     # for long, so a pool would only add hand-offs there
@@ -191,12 +190,12 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
     try:
         for t in range(1, t_max + 1):
             for g in groups:
-                g.played = g.learner.step(g.prev)
+                played = g.learner.step(g.prev)
                 if g.kind == "strategy-swap":           # the step returned sigma
-                    g.played = g.learner.policy_marginal()[None]
+                    played = g.learner.policy_marginal()[None]
                 for b, i in enumerate(g.players):
-                    policies[i] = g.played[b]
-                    policy_trace[i][t - 1] = g.played[b]
+                    policy_trace[i][t - 1] = played[b]
+            policies = [p[t - 1] for p in policy_trace]
 
             def reward(i: int) -> np.ndarray:
                 if config.reward_mode == "sampled":
@@ -211,32 +210,31 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
 
             for g in groups:
                 u = np.stack([rewards[i] for i in g.players])
-                accumulate(g.ledger, g.played, u)
+                g.rewards.append(u)
                 g.prev = u[0] if g.kind == "strategy-swap" else u
-            if config.curve_stride and t % config.curve_stride == 0:
+            if t % block == 0 or t == t_max:    # a block is played: account for it
                 for g in groups:
-                    g.curve = (external_regret(g.ledger), typewise_regret(g.ledger),
-                               untruthful_regret(g.ledger),
-                               untruthful_bound(t, *g.played.shape[1:]))
-                for i in range(game.n):
-                    g, b = slot[i]
-                    ext, typ, unt, bound = g.curve
-                    curve_rows.append([float(t), float(i), ext[b], typ[b], unt[b], bound])
+                    t0 = t - len(g.rewards)
+                    x = np.stack([policy_trace[i][t0:t] for i in g.players], axis=1)
+                    rows = accumulate(g.ledger, x, g.rewards)
+                    g.rewards = []
+                    curve[t0:t, g.players, 2] = external_regret(rows)
+                    curve[t0:t, g.players, 3] = typewise_regret(rows)
+                    curve[t0:t, g.players, 4] = untruthful_regret(rows)
+                    curve[t0:t, g.players, 5] = untruthful_bound(rows.rounds, *x.shape[-2:])
     finally:
         if pool is not None:
             pool.shutdown()
 
-    ledgers: list[RegretLedger] = [None] * game.n
-    for g in groups:
-        for i, ledger in zip(g.players, g.ledger.entries()):
-            ledgers[i] = ledger
+    entries = {i: entry for g in groups for i, entry in zip(g.players, g.ledger.entries())}
+    ledgers = [entries[i] for i in range(game.n)]
     mixture = MixtureDistribution.from_stacked(np.full(t_max, 1.0 / t_max), policy_trace)
     regrets = [untruthful_regret(led) for led in ledgers]
     certificate = max(0.0, max(r / t_max for r in regrets))
-    curve = np.asarray(curve_rows) if curve_rows else np.empty((0, 6))
     sampled = config.reward_mode == "sampled"
     sampling = (config.epsilon / 2, 1 - config.delta) if sampled else None
-    return RunResult(mixture, ledgers, certificate, regrets, curve, t_max, sampling)
+    return RunResult(mixture, ledgers, certificate, regrets, curve.reshape(-1, 6), t_max,
+                     sampling)
 
 
 # ---------------------------------------------------------------------------

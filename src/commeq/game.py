@@ -29,7 +29,7 @@ DEFAULT_LP_CAP = 10**4
 # cells of the explicit (Theta..., A...) array mixture_to_tabular builds
 TABULAR_CAP = 10**6
 
-# partial-sum cells expected_rewards holds per block of mixture components (8 MB)
+# partial-sum cells held per block of mixture components (8 MB)
 CONTRACT_BLOCK_CELLS = 2**20
 
 
@@ -326,7 +326,14 @@ def mixture_to_tabular(mix: MixtureDistribution) -> np.ndarray:
     cells = int(np.prod(nt)) * int(np.prod(na))
     if cells > TABULAR_CAP:
         raise SupportTooLarge(f"tabularization needs {cells} cells > cap {TABULAR_CAP}")
-    return policy_product(mix.weights.reshape(-1, 1, 1), mix.policies).sum(axis=0).reshape(nt + na)
+    block = max(1, CONTRACT_BLOCK_CELLS // cells)
+    for lo in range(0, mix.num_components, block):
+        part = policy_product(mix.weights[lo:lo + block].reshape(-1, 1, 1),
+                              [p[lo:lo + block] for p in mix.policies])
+        if lo:                      # each block's sum starts from the sum so
+            part[0] += total        # far, so components add as in one sum
+        total = part.sum(axis=0)
+    return total.reshape(nt + na)
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,7 @@ class PoaReport:
     bound_satisfied: bool
     epsilon: float
     mode: str
+    smoothness: SmoothnessReport         # the enumeration the report checked
 
     def to_json_dict(self) -> dict:
         return {
@@ -213,9 +214,9 @@ def poa_report(game, dist, spec: SmoothnessSpec, eps_tol: float = 0.01) -> PoaRe
     epsilon exceeds ``eps_tol``, and refuses smoothness specs that fail
     enumeration.  A zero optimal welfare reports ratio 1 by convention.
     """
+    smooth = check_smoothness(game, spec)
     if not eps_tol >= 0:                                  # NaN fails too
         raise BadInput(f"eps_tol must be a number >= 0, not {eps_tol!r}")
-    smooth = check_smoothness(game, spec)
     if not smooth.passed:
         raise BadInput(f"smoothness spec fails at {smooth.witness} "
                        f"with slack {smooth.min_slack:.3e}")
@@ -239,4 +240,4 @@ def poa_report(game, dist, spec: SmoothnessSpec, eps_tol: float = 0.01) -> PoaRe
         else spec.lam / max(1.0, spec.mu)
     slack = (n * cert.epsilon / opt_welfare if opt_welfare > 0 else 0.0) + 1e-9
     return PoaReport(eq_welfare, opt_welfare, ratio, bound, slack,
-                     ratio >= bound - slack, cert.epsilon, spec.mode)
+                     ratio >= bound - slack, cert.epsilon, spec.mode, smooth)

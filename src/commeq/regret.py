@@ -19,6 +19,7 @@ from .game import DEFAULT_LP_CAP, decode_strategy_profile, prior_rows
 NEGATIVE_REGRET_TOL = 1e-9
 EPS = float(np.finfo(float).eps)
 TIE_ULPS = 8
+LEDGER_BLOCK_CELLS = 2**16       # cross cells in the rows of one accumulate block
 
 
 class RegretLedger:
@@ -29,8 +30,8 @@ class RegretLedger:
     (B,) array, and every regret below returns one value per entry.
 
     ``cross`` is a view of ``store``, which holds the tensor as (..., theta,
-    a, theta', a'): a round then adds one outer product of u(theta, a) and
-    x(theta', a') over rows of length K M, and a reduction over the view
+    a, theta', a'): a round's term is then one outer product of u(theta, a)
+    and x(theta', a') over rows of length K M, and a reduction over the view
     walks memory, and so adds, in the same order as over a C-order ``cross``.
     """
 
@@ -71,21 +72,42 @@ class RegretLedger:
 
 
 def accumulate(ledger: RegretLedger, x_t: np.ndarray, u_t: np.ndarray) -> RegretLedger:
-    """Fold one round's policy and reward into the ledger ((B, K, M) when stacked)."""
+    """Fold one round's policy and reward ((B, K, M) when stacked), or a block
+    of them on a leading axis, into the ledger's own arrays; return the ledger
+    after each round, stacked on that axis with per-row round counts, each row
+    bit for bit what adding one round at a time leaves."""
     shape = ledger.rho.shape + (ledger.store.shape[-1],)
-    x = np.asarray(x_t, dtype=float)
-    u = np.asarray(u_t, dtype=float)
-    if x.shape != shape or u.shape != shape:
-        raise BadInput(f"policy and reward must both have shape {shape}")
-    ubar = ledger.rho[..., None] * u
-    ledger.store += ubar[..., :, :, None, None] * x[..., None, None, :, :]
-    gain = (x * ubar).sum(axis=(-2, -1))
-    ledger.alg_reward += gain if ledger.rho.ndim > 1 else float(gain)
-    ledger.rounds += 1
-    return ledger
+    x, u = np.asarray(x_t, dtype=float), np.asarray(u_t, dtype=float)
+    xs, us = (x[None], u[None]) if x.shape == shape else (x, u)
+    if xs.shape[1:] != shape or us.shape != xs.shape or len(xs) == 0:
+        raise BadInput(f"policy and reward must both have shape {shape}, or stack it")
+    ubar = ledger.rho[..., None] * us
+    rows = ubar[..., :, :, None, None] * xs[..., None, None, :, :]
+    gains = (xs * ubar).sum(axis=(-2, -1))
+    rows[0] += ledger.store
+    gains[0] += ledger.alg_reward
+    for r in range(1, len(rows)):   # as np.cumsum adds, but a vector add per row:
+        rows[r] += rows[r - 1]      # cumsum down axis 0 takes ~4 ns a cell
+    np.cumsum(gains, axis=0, out=gains)
+    ledger.store[...] = rows[-1]
+    if ledger.rho.ndim > 1:
+        ledger.alg_reward[...] = gains[-1]
+    else:
+        ledger.alg_reward = float(gains[-1])
+    rounds = ledger.rounds + np.arange(1, len(xs) + 1)
+    ledger.rounds = int(rounds[-1])
+    return RegretLedger(np.broadcast_to(ledger.rho, (len(xs),) + ledger.rho.shape),
+                        rows.swapaxes(-3, -2), gains,
+                        rounds.reshape((-1,) + (1,) * (ledger.rho.ndim - 1)))
 
 
-def _drift(rounds: int, cells: int, scale: float) -> float:
+def block_rounds(*ledgers: RegretLedger) -> int:
+    """Rounds per accumulate block: at least one, and as many as keep every
+    ledger's rows within LEDGER_BLOCK_CELLS cross cells."""
+    return max(1, LEDGER_BLOCK_CELLS // max(ledger.store.size for ledger in ledgers))
+
+
+def _drift(rounds, cells: int, scale):
     """Float drift of a difference of two sums of nonnegative terms, accumulated
     over ``rounds`` rounds into ``cells`` entries no larger than ``scale``.
 
@@ -199,13 +221,9 @@ def strategy_regret(sigmas, rewards, prior_row) -> float:
                     lambda: _drift(t, cum.size, max(abs(deviation), abs(achieved))))
 
 
-def untruthful_bound(t: int, num_types: int, num_actions: int) -> float:
+def untruthful_bound(t, num_types: int, num_actions: int) -> float | np.ndarray:
     """The proved worst-case growth of the untruthful-swap learner's regret,
-    with natural-log constants."""
-    k, m = num_types, num_actions
-    term_types = math.sqrt(0.5 * t * math.log(k)) if k > 1 else 0.0
-    if m > 1:
-        term_actions = 6.0 * math.sqrt(t * m * math.log(m)) + 2.0 * m * math.log(m)
-    else:
-        term_actions = 0.0
-    return term_types + term_actions
+    with natural-log constants, at a horizon ``t`` or an array of them."""
+    k, m, t = num_types, num_actions, np.asarray(t)
+    term_actions = 6.0 * np.sqrt(t * m * math.log(m)) + 2.0 * m * math.log(m)
+    return _per_entry(np.sqrt(0.5 * t * math.log(k)) + term_actions)

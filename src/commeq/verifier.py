@@ -111,6 +111,7 @@ def anf_bs_epsilon(game: BayesianGame, dist,
     representable = None
     if check_representability:
         try:
+            strategy_space_size_under(game.num_types, game.num_actions, DEFAULT_LP_CAP)
             rep = strategy_representable(_to_tabular(dist))
             representable = rep.feasible
         except SupportTooLarge:

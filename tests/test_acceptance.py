@@ -16,7 +16,7 @@ from commeq.dynamics import DynamicsConfig, run_dynamics
 from commeq.game import decode_strategy_profile, mixture_to_tabular
 from commeq.learners import UntruthfulSwapLearner
 from commeq.poa import check_smoothness, poa_report
-from commeq.regret import (RegretLedger, accumulate, external_regret,
+from commeq.regret import (RegretLedger, accumulate, block_rounds, external_regret,
                            strategy_regret, typewise_regret, untruthful_bound,
                            untruthful_regret)
 from commeq.transforms import (fixed_point, linear_to_transform,
@@ -41,7 +41,8 @@ def regret_suite_runs():
     Each config's seeds run as one batched learner over a stacked ledger; the
     batch entries step exactly as lone learners would (tests/test_kernels.py
     checks that).  Each seed's stream is drawn in chunks of STREAM_CHUNK
-    rounds, the same numbers one draw of the whole stream gives.
+    rounds, the same numbers one draw of the whole stream gives; a chunk is
+    played, then folded into the ledger a block of rounds at a time.
     """
     runs = []
     start = time.time()
@@ -51,17 +52,21 @@ def regret_suite_runs():
         rngs = [np.random.default_rng(seed) for seed in SEEDS]
         learner = UntruthfulSwapLearner(rows, m, t_max)
         ledger = RegretLedger.create(rows, m)
+        block = block_rounds(ledger)
         prev = None
         quarter_regret = None
         for t0 in range(0, t_max, STREAM_CHUNK):
             chunk = min(STREAM_CHUNK, t_max - t0)
             us = np.stack([rng.random((chunk, k, m)) for rng in rngs], axis=1)
-            for t in range(t0 + 1, t0 + chunk + 1):
-                x = learner.step(prev)
-                prev = us[t - t0 - 1]
-                accumulate(ledger, x, prev)
-                if t == t_max // 4:
-                    quarter_regret = untruthful_regret(ledger)
+            xs = np.empty(us.shape)
+            for s in range(chunk):
+                xs[s] = learner.step(prev)
+                prev = us[s]
+            for lo in range(0, chunk, block):
+                hi = min(lo + block, chunk)
+                ledger_rows = accumulate(ledger, xs[lo:hi], us[lo:hi])
+                if t0 + lo < t_max // 4 <= t0 + hi:
+                    quarter_regret = untruthful_regret(ledger_rows)[t_max // 4 - t0 - lo - 1]
         regret = untruthful_regret(ledger)
         for b, (seed, entry) in enumerate(zip(SEEDS, ledger.entries())):
             runs.append({
@@ -106,7 +111,7 @@ def test_criterion_02_sublinearity(regret_suite_runs):
 
 def test_criterion_03_certificate_soundness():
     game = fixture_files.game("matching_game")
-    result = run_dynamics(game, DynamicsConfig(horizon=50_000, seed=0, curve_stride=0))
+    result = run_dynamics(game, DynamicsConfig(horizon=50_000, seed=0))
     cert = comm_eq_epsilon(game, result.mixture)
     gap = abs(cert.epsilon - result.certificate)
     assert gap <= 1e-6
@@ -280,7 +285,7 @@ def test_criterion_10_poa_end_to_end():
     bad = check_smoothness(auction, fixture_files.auction_spec(0.9))
     assert not bad.passed and bad.witness is not None
     result = run_dynamics(auction.base,
-                          DynamicsConfig(horizon=80_000, seed=0, curve_stride=0))
+                          DynamicsConfig(horizon=80_000, seed=0))
     assert result.certificate <= 0.01
     report = poa_report(auction, result.mixture, spec, eps_tol=0.01)
     floor = 0.5 - 2 * report.epsilon / report.opt_welfare - 1e-9

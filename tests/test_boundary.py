@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commeq import cli, dynamics, errors
+from commeq import cli, dynamics, errors, poa
 from commeq import game as game_module
 from commeq.adversary import STREAM_CAP, build_instance
 from commeq.cli import main
@@ -629,6 +629,19 @@ def test_nan_or_negative_tolerance_is_bad_input(capsys, auction_run, tol):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1 and "tol" in captured.err and captured.out == ""
+
+
+def test_poa_enumerates_smoothness_once(capsys, monkeypatch, auction_run):
+    """poa prints the smoothness report its own check produced, so the
+    enumeration runs once, whichever module's name a caller reaches it by."""
+    calls = []
+    real = poa.check_smoothness
+    counted = lambda *args: calls.append(args) or real(*args)
+    monkeypatch.setattr(poa, "check_smoothness", counted)
+    monkeypatch.setattr(cli, "check_smoothness", counted)
+    assert main(["poa", AUCTION, auction_run, AUCTION_SPEC, "--eps-tol", "1"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["smoothness"]["passed"] is True
 
 
 def _matching_doc():

@@ -166,7 +166,7 @@ def test_constant_payoff_game_zero_certificate():
     payoffs = [np.full((2, 2, 2, 2), 0.5)] * 2
     game = BayesianGame.create([["a", "b"], ["a", "b"]], [["l", "r"], ["l", "r"]],
                                prior, payoffs)
-    res = run_dynamics(game, DynamicsConfig(horizon=50, curve_stride=0))
+    res = run_dynamics(game, DynamicsConfig(horizon=50))
     assert res.certificate == pytest.approx(0.0, abs=1e-12)
     for led in res.ledgers:
         assert untruthful_regret(led) == pytest.approx(0.0, abs=1e-12)
@@ -178,21 +178,21 @@ def test_single_type_reduces_to_swap_dynamics():
     payoffs = [rng.random((1, 1, 2, 2)) for _ in range(2)]
     game = BayesianGame.create([["t"], ["t"]], [["l", "r"], ["l", "r"]],
                                prior, payoffs)
-    res = run_dynamics(game, DynamicsConfig(horizon=500, curve_stride=0))
+    res = run_dynamics(game, DynamicsConfig(horizon=500))
     assert res.certificate == pytest.approx(
         max(untruthful_regret(led) for led in res.ledgers) / 500)
 
 
 def test_certificate_matches_verifier():
     game = fixture_game("matching_game")
-    res = run_dynamics(game, DynamicsConfig(horizon=800, seed=5, curve_stride=0))
+    res = run_dynamics(game, DynamicsConfig(horizon=800, seed=5))
     cert = comm_eq_epsilon(game, res.mixture)
     assert abs(cert.epsilon - res.certificate) <= 1e-6
 
 
 def test_mixture_is_representable():
     game = fixture_game("matching_game")
-    res = run_dynamics(game, DynamicsConfig(horizon=60, seed=1, curve_stride=0))
+    res = run_dynamics(game, DynamicsConfig(horizon=60, seed=1))
     rep = strategy_representable(mixture_to_tabular(res.mixture))
     assert rep.feasible
 
@@ -229,11 +229,11 @@ def test_only_sampled_rewards_build_a_thread_pool(monkeypatch):
 def test_sampled_run_determinism():
     game = fixture_game("matching_game")
     cfg = DynamicsConfig(horizon=30, seed=2, reward_mode="sampled",
-                         epsilon=0.5, delta=0.2, curve_stride=0)
+                         epsilon=0.5, delta=0.2)
     a = run_dynamics(game, cfg)
     b = run_dynamics(game, cfg)
     c = run_dynamics(game, DynamicsConfig(horizon=30, seed=2, reward_mode="sampled",
-                                          epsilon=0.5, delta=0.2, curve_stride=0,
+                                          epsilon=0.5, delta=0.2,
                                           threads=4))
     assert a.certificate == b.certificate == c.certificate
 
@@ -241,13 +241,13 @@ def test_sampled_run_determinism():
 def test_sampled_certificate_close_to_exact():
     game = fixture_game("matching_game")
     eps, delta = 0.4, 0.2
-    exact = run_dynamics(game, DynamicsConfig(horizon=150, seed=0, curve_stride=0))
+    exact = run_dynamics(game, DynamicsConfig(horizon=150, seed=0))
     good = 0
     reps = 50
     for rep in range(reps):
         out = run_dynamics(game, DynamicsConfig(
             horizon=150, seed=1000 + rep, reward_mode="sampled",
-            epsilon=eps, delta=delta, curve_stride=0))
+            epsilon=eps, delta=delta))
         if out.certificate <= exact.certificate + eps:
             good += 1
     assert good / reps >= 1 - delta
@@ -306,7 +306,7 @@ def test_empirical_three_round_average():
 
 def test_strategy_swap_dynamics_traces():
     game = fixture_game("matching_game")
-    cfg = DynamicsConfig(horizon=300, learners="strategy-swap", seed=4, curve_stride=0)
+    cfg = DynamicsConfig(horizon=300, learners="strategy-swap", seed=4)
     res = run_dynamics(game, cfg)
     # each round's play is the type-wise marginal of the learner's sigma
     for p in res.mixture.policies:
@@ -318,7 +318,7 @@ def test_strategy_swap_dynamics_traces():
 def test_mixed_learner_kinds():
     game = fixture_game("matching_game")
     cfg = DynamicsConfig(horizon=120, learners=("untruthful", "typewise"),
-                         seed=6, curve_stride=0)
+                         seed=6)
     res = run_dynamics(game, cfg)
     cert = comm_eq_epsilon(game, res.mixture)
     assert abs(cert.epsilon - res.certificate) <= 1e-6
@@ -326,7 +326,7 @@ def test_mixed_learner_kinds():
 
 def test_curve_layout_and_bound_column():
     game = fixture_game("matching_game")
-    res = run_dynamics(game, DynamicsConfig(horizon=40, seed=7, curve_stride=1))
+    res = run_dynamics(game, DynamicsConfig(horizon=40, seed=7))
     assert res.curve.shape == (40 * 2, 6)
     # ordering holds at every sampled t
     assert np.all(res.curve[:, 2] <= res.curve[:, 3] + 1e-12)

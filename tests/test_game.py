@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from commeq import game as game_module
 from commeq.errors import BadInput, SupportTooLarge
-from commeq.game import (BayesianGame, PriorModel, StrategyDistribution, decode_strategy_profile,
+from commeq.game import (BayesianGame, MixtureDistribution, PriorModel, StrategyDistribution, decode_strategy_profile,
                          game_from_json_dict, game_to_json_dict, mixture_to_tabular,
                          strategy_space_size, save_game, uniform_policy, validate_game)
 
@@ -154,6 +156,48 @@ def test_mixture_marginals_sum_to_one():
     for theta in np.ndindex(2, 3):
         for act in np.ndindex(3, 2):
             assert mixture_eval(mix, theta, act) == pytest.approx(tab[theta + act])
+
+
+def _random_mixture(rng, num_types, num_actions, components):
+    w = rng.random(components)
+    policies = [rng.dirichlet(np.ones(m), size=(components, k))
+                for k, m in zip(num_types, num_actions)]
+    return MixtureDistribution.from_stacked(w / w.sum(), policies)
+
+
+def test_mixture_to_tabular_blocks_add_as_one_sum(monkeypatch):
+    """Blocks of 1, 3 and 7 components, each block's sum started from the sum
+    so far, give bit for bit the table of one block of all components.  The
+    tables have two cells or more: numpy sums a one-cell column pairwise, and
+    a one-cell table takes 2^20 components per block."""
+    rng = np.random.default_rng(30)
+    for _ in range(30):
+        n = int(rng.integers(1, 4))
+        nt, na = rng.integers(1, 4, n), rng.integers(1, 4, n)
+        if nt.prod() * na.prod() < 2:
+            na[0] = 2
+        mix = _random_mixture(rng, nt, na, int(rng.integers(1, 41)))
+        whole = mixture_to_tabular(mix)
+        assert mix.num_components * whole.size <= game_module.CONTRACT_BLOCK_CELLS
+        for per_block in (1, 3, 7):
+            with monkeypatch.context() as patch:
+                patch.setattr(game_module, "CONTRACT_BLOCK_CELLS", per_block * whole.size)
+                assert np.array_equal(mixture_to_tabular(mix), whole)
+
+
+def test_mixture_to_tabular_holds_one_block(monkeypatch):
+    """200 components over 4096 cells: the product of all of them would take
+    6.4 MB, one block of 4 takes 128 kB."""
+    rng = np.random.default_rng(31)
+    mix = _random_mixture(rng, (4, 4, 4), (4, 4, 4), 200)
+    monkeypatch.setattr(game_module, "CONTRACT_BLOCK_CELLS", 2**14)
+    tracemalloc.start()
+    try:
+        table = mixture_to_tabular(mix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (2**14 + table.size) * 8
 
 
 def test_strategy_roundtrip_point_mass():

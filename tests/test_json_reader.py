@@ -321,7 +321,7 @@ def test_values_other_than_payoffs_are_scanned_in_linear_time(tmp_path, monkeypa
     monkeypatch.setattr(game_module, "_SCAN", counting_scan)
 
     run = run_dynamics(fixture_game("first_price_auction"),
-                       DynamicsConfig(horizon=500, seed=0, curve_stride=0))
+                       DynamicsConfig(horizon=500, seed=0))
     write_equilibrium_json(str(tmp_path / "equilibrium.json"), run)
     k = 64
     table = np.random.default_rng(3).dirichlet(np.ones(k * k)).reshape(k, k)

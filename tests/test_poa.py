@@ -136,7 +136,7 @@ def test_poa_rejects_non_equilibrium():
 
 def test_poa_rejects_failing_spec():
     aq = auction()
-    res = run_dynamics(aq.base, DynamicsConfig(horizon=50, curve_stride=0))
+    res = run_dynamics(aq.base, DynamicsConfig(horizon=50))
     with pytest.raises(BadInput):
         poa_report(aq, res.mixture, auction_spec(0.9),
                    eps_tol=1.0)
@@ -145,7 +145,7 @@ def test_poa_rejects_failing_spec():
 def test_poa_end_to_end_short_run():
     aq = auction()
     spec = auction_spec()
-    res = run_dynamics(aq.base, DynamicsConfig(horizon=3000, seed=0, curve_stride=0))
+    res = run_dynamics(aq.base, DynamicsConfig(horizon=3000, seed=0))
     report = poa_report(aq, res.mixture, spec, eps_tol=0.05)
     assert report.bound == 0.5
     assert report.bound_satisfied

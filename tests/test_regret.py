@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from commeq.errors import AuditError
+from commeq import regret
+from commeq.errors import AuditError, BadInput
 from commeq.game import decode_strategy_profile
-from commeq.regret import (RegretLedger, accumulate, external_regret, strategy_regret,
-                           typewise_regret, untruthful_bound, untruthful_regret,
-                           untruthful_witness)
+from commeq.regret import (EPS, NEGATIVE_REGRET_TOL, RegretLedger, accumulate, block_rounds,
+                           external_regret, strategy_regret, typewise_regret,
+                           untruthful_bound, untruthful_regret, untruthful_witness)
 
 from .oracles import (audit_ledger, enumerate_external, enumerate_strategy,
                       enumerate_typewise, enumerate_untruthful, ledger_diagonal_gap)
@@ -267,6 +268,96 @@ def test_stacked_ledger_judges_each_entry_against_its_own_drift():
             check(small)
         with pytest.raises(AuditError):
             check(stacked(big, small))
+
+
+def _random_stream(rng, lead, k, m, rounds):
+    """Prior rows and (rounds,) + lead + (K, M) policies and rewards."""
+    rho = rng.dirichlet(np.ones(k), size=lead or None)
+    xs = rng.dirichlet(np.ones(m), size=(rounds,) + lead + (k,))
+    return rho, xs, rng.random((rounds,) + lead + (k, m))
+
+
+@pytest.mark.parametrize("cells", [1, 1000, regret.LEDGER_BLOCK_CELLS])
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_block_fold_matches_one_round_at_a_time(monkeypatch, cells, lead):
+    """Random single and stacked streams folded in blocks of one round, of a
+    size that does not divide the stream, and of the default size: every
+    row, its round count, its three regrets and the ledger after each call
+    equal those of the ledger fed one round at a time, bit for bit."""
+    monkeypatch.setattr(regret, "LEDGER_BLOCK_CELLS", cells)
+    rng = np.random.default_rng(11 + len(lead))
+    rho, xs, us = _random_stream(rng, lead, 3, 2, 50)
+    one, folded = RegretLedger.create(rho, 2), RegretLedger.create(rho, 2)
+    block = block_rounds(folded)
+    assert block == max(1, cells // folded.store.size) and (block == 1 or 50 % block)
+    checks = (external_regret, typewise_regret, untruthful_regret)
+    for lo in range(0, 50, block):
+        rows = accumulate(folded, xs[lo:lo + block], us[lo:lo + block])
+        curves = [check(rows) for check in checks]
+        for r in range(len(rows.alg_reward)):
+            accumulate(one, xs[lo + r], us[lo + r])
+            assert np.array_equal(rows.cross[r], one.cross)
+            assert np.array_equal(rows.alg_reward[r], one.alg_reward)
+            assert np.all(rows.rounds[r] == one.rounds)
+            for curve, check in zip(curves, checks):
+                assert np.array_equal(curve[r], check(one))
+        assert np.array_equal(folded.cross, one.cross) and folded.rounds == one.rounds
+        assert np.array_equal(folded.alg_reward, one.alg_reward)
+
+
+def test_block_fold_writes_into_the_ledgers_arrays():
+    """A folded block lands in the arrays the ledger already holds: the
+    entries of a stacked ledger see it, and a ledger built on a C-order
+    cross tensor keeps that array and sums into it."""
+    rng = np.random.default_rng(44)
+    rho, xs, us = _random_stream(rng, (2,), 3, 2, 12)
+    stacked, ref = RegretLedger.create(rho, 2), RegretLedger.create(rho, 2)
+    for x, u in zip(xs, us):
+        accumulate(ref, x, u)
+    entries, alg = stacked.entries(), stacked.alg_reward
+    plain = np.zeros(ref.cross.shape)
+    c_order = RegretLedger(rho, plain, np.zeros(2))
+    for ledger in (stacked, c_order):
+        accumulate(ledger, xs[:5], us[:5])
+        accumulate(ledger, xs[5:], us[5:])
+        assert np.array_equal(ledger.cross, ref.cross)
+        assert np.array_equal(ledger.alg_reward, ref.alg_reward) and ledger.rounds == 12
+    assert stacked.alg_reward is alg
+    assert np.shares_memory(c_order.cross, plain) and np.array_equal(plain, ref.cross)
+    for b, entry in enumerate(entries):
+        assert np.array_equal(entry.cross, ref.cross[b])
+
+
+def test_block_fold_rejects_misshapen_blocks():
+    ledger = RegretLedger.create([0.5, 0.5], 2)
+    for x in (np.full((0, 2, 2), 0.5), np.full((3, 2, 3), 0.5), np.full((2, 2), 0.5)[None, None]):
+        with pytest.raises(BadInput):
+            accumulate(ledger, x, x)
+    with pytest.raises(BadInput):
+        accumulate(ledger, np.full((3, 2, 2), 0.5), np.full((2, 2, 2), 0.5))
+    assert ledger.rounds == 0 and ledger.cross.sum() == 0.0
+
+
+def test_block_rows_are_audited_at_their_own_round_counts():
+    """Eight rounds of reward 2^20 into a one-type, one-action ledger, then
+    5 ulps of reward the rows never earned.  At round 8 that is within the
+    drift of 8 rounds (9 ulps with the one cell) but not of 1 (2 ulps); at
+    round 2 it is beyond the drift of 2 rounds (3 ulps) but within that of
+    the block's last row (9 ulps)."""
+    rows = accumulate(RegretLedger.create([1.0], 1), np.ones((8, 1, 1)),
+                      np.full((8, 1, 1), 2.0**20))
+    assert rows.rounds.tolist() == list(range(1, 9))
+
+    def row(r, rounds):
+        return RegretLedger(rows.rho[r], rows.cross[r], float(rows.alg_reward[r]), rounds)
+    rows.alg_reward[7] += 5 * EPS * rows.alg_reward[7]
+    assert untruthful_regret(rows)[7] < -NEGATIVE_REGRET_TOL
+    with pytest.raises(AuditError):
+        untruthful_regret(row(7, 1))
+    rows.alg_reward[1] += 5 * EPS * rows.alg_reward[1]
+    with pytest.raises(AuditError, match="untruthful swap regret"):
+        untruthful_regret(rows)
+    assert untruthful_regret(row(1, 8)) < -NEGATIVE_REGRET_TOL
 
 
 def test_untruthful_witness_is_stable_under_float_dust():

@@ -159,6 +159,20 @@ def test_comm_zero_and_representable_implies_anf_zero():
     assert cert.epsilon == pytest.approx(0.0, abs=1e-12)
 
 
+def test_anf_bs_sizes_the_lp_before_tabularizing(monkeypatch):
+    """|S| = 2^14 is past DEFAULT_LP_CAP: the representability check is
+    refused from the game's shapes, and the mixture is never made explicit."""
+    rng = np.random.default_rng(21)
+    game = random_game(rng, (14,), (2,))
+    mix = random_mixture(rng, (14,), (2,), 4)
+
+    def refuse(dist):
+        raise AssertionError("the mixture was tabularized")
+    monkeypatch.setattr(verifier, "mixture_to_tabular", refuse)
+    cert = anf_bs_epsilon(game, mix)
+    assert cert.representable is None and cert.to_json_dict()["representable"] is None
+
+
 def test_coarse_witness_replays_to_gain():
     rng = np.random.default_rng(9)
     game = random_game(rng, (2, 2), (2, 2))
