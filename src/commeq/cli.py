@@ -128,17 +128,11 @@ def cmd_verify(args) -> int:
     elif args.klass == "coarse-bs":
         cert = coarse_epsilon(game, dist, "coarse-bs")
     elif args.klass == "sfce":
-        cert = sfce_epsilon(game, _require_sigma(dist, "sfce"))
+        cert = sfce_epsilon(game, dist)
     else:  # sfcce | anfcce
-        cert = coarse_epsilon(game, _require_sigma(dist, args.klass), args.klass)
+        cert = coarse_epsilon(game, dist, args.klass)
     _print_json(cert.to_json_dict())
     return EXIT_OK if cert.epsilon <= args.tol else EXIT_NOT_VERIFIED
-
-
-def _require_sigma(dist, klass: str) -> StrategyDistribution:
-    if not isinstance(dist, StrategyDistribution):
-        raise BadInput(f"class {klass} needs a strategy distribution file")
-    return dist
 
 
 def _require_tabular(dist, what: str) -> np.ndarray:

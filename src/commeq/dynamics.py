@@ -77,8 +77,9 @@ def sample_count(epsilon: float, delta: float, n: int, horizon: int,
     BadInput unless eps is finite and positive and 0 < delta < 1;
     SupportTooLarge past SAMPLE_CAP, where an eps whose square underflows
     asks for infinitely many.  Each type of an oracle call splits this many
-    samples over the opponent cells in one multinomial draw, whose cost grows
-    only slowly with the count; the checks come before any draw.
+    samples over the opponent cells in one multinomial draw, so a sampled
+    call costs about as much as an exact call or more; the checks come before
+    any draw.
     """
     if not (0 < epsilon < math.inf and 0 < delta < 1):
         raise BadInput("sampled rewards need a finite eps > 0 and 0 < delta < 1")
@@ -100,8 +101,8 @@ def sampled_reward(game: BayesianGame, i: int, policies, epsilon: float, delta: 
     opponent cell (theta_-i, a_-i) is drawn, so one ``rng.multinomial`` draws
     those counts for every type at once from
     q_theta(theta_-i, a_-i) = rho(theta_-i | theta) * prod_j p_j(a_j | theta_j).
-    A call costs about O(|Theta_i| x cells), growing only slowly with the
-    sample budget.
+    A call costs about O(|Theta_i| x cells), about as much as exact_reward or
+    more.
     """
     nt, na = game.num_types, game.num_actions
     max_ta = max(k * m for k, m in zip(nt, na))

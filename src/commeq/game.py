@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,18 +99,15 @@ class PriorModel:
     def full_table(self) -> np.ndarray:
         if self.table is not None:
             return self.table
-        out = np.array(1.0)
-        for m in self.marginals:
-            out = np.multiply.outer(out, m)
-        return out.reshape(self.num_types)
+        return policy_product(np.ones((1, 1, 1)),
+                              [m[None, :, None] for m in self.marginals]).reshape(self.num_types)
 
 
 def _product_conditionals(marginals, i) -> np.ndarray:
-    others = [m for j, m in enumerate(marginals) if j != i]
-    row = np.array([1.0])
-    for m in others:
-        row = np.multiply.outer(row, m).reshape(-1)
-    return np.tile(row, (marginals[i].size, 1))
+    """One row per type of player i: the product of the other marginals."""
+    return policy_product(np.ones((1, marginals[i].size, 1)),
+                          [m[None, :, None] for j, m in enumerate(marginals) if j != i]
+                          ).reshape(marginals[i].size, -1)
 
 
 def _tabular_conditionals(table: np.ndarray, marginal: np.ndarray, i: int) -> np.ndarray:
@@ -527,7 +525,10 @@ class _Window:
     scanner stays linear in the file size."""
 
     def __init__(self, fh):
-        self.fh, self.text, self.eof = fh, "", False
+        self.fh, self.eof = fh, False
+        # a file shorter than a chunk is read, and found to end, in one call
+        # (a pipe's size reads 0, and its later reads take whole chunks)
+        self.text = self._read(min(os.fstat(fh.fileno()).st_size + 1, _READ_CHUNK))
 
     def _read(self, size: int) -> str:
         more = self.fh.read(size)

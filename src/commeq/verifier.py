@@ -80,9 +80,9 @@ def deviation_tensor(game: BayesianGame, i: int, dist) -> RegretLedger:
     return RegretLedger(rho, (rho[:, None, None, None] * gains).swapaxes(1, 2), truthful)
 
 
-def _certify(klass, gains_witnesses, representable=None):
+def _certify(klass, gains_witnesses, representable=None, product_gap=None):
     eps = max(max(0.0, d.gain) for d in gains_witnesses)
-    return EquilibriumCertificate(klass, eps, tuple(gains_witnesses), representable)
+    return EquilibriumCertificate(klass, eps, tuple(gains_witnesses), representable, product_gap)
 
 
 def comm_eq_epsilon(game: BayesianGame, dist) -> EquilibriumCertificate:
@@ -94,26 +94,32 @@ def comm_eq_epsilon(game: BayesianGame, dist) -> EquilibriumCertificate:
     return _certify("comm", devs)
 
 
-def anf_bs_epsilon(game: BayesianGame, dist,
-                   check_representability: bool = True) -> EquilibriumCertificate:
-    """Action-swap-only advantage (truthful reporting pinned).
-
-    The certificate additionally records strategy representability when the
-    game is small enough for the feasibility LP: with zero gain it separates
-    plain Bayesian solutions from distributions a strategy mediator realizes.
-    """
+def _action_swaps(game: BayesianGame, dist) -> list[PlayerDeviation]:
+    """Per player, the best action-swap advantage with truthful reports."""
     devs = []
     for i in range(game.n):
         ledger = deviation_tensor(game, i, dist)
         diag = np.einsum("iiab->iba", ledger.cross)        # (K, M_rec, M_played)
         phi = first_near_max(diag, np.abs(diag))
         devs.append(PlayerDeviation(i, typewise_regret(ledger), {"phi": phi.tolist()}))
-    representable = None
-    if check_representability:
+    return devs
+
+
+def anf_bs_epsilon(game: BayesianGame, dist) -> EquilibriumCertificate:
+    """Action-swap-only advantage (truthful reporting pinned).
+
+    The certificate also records strategy representability, which with zero
+    gain separates plain Bayesian solutions from distributions a strategy
+    mediator realizes.  A mixture is representable by construction; a tabular
+    distribution goes to the feasibility LP, and is not assessed (None) when
+    |S| passes DEFAULT_LP_CAP.
+    """
+    devs = _action_swaps(game, dist)
+    if isinstance(dist, MixtureDistribution):
+        representable = True
+    else:
         try:
-            strategy_space_size_under(game.num_types, game.num_actions, DEFAULT_LP_CAP)
-            rep = strategy_representable(_to_tabular(dist))
-            representable = rep.feasible
+            representable = strategy_representable(dist).feasible
         except SupportTooLarge:
             representable = None
     return _certify("anf-bs", devs, representable)
@@ -122,9 +128,10 @@ def anf_bs_epsilon(game: BayesianGame, dist,
 def bne_epsilon(game: BayesianGame, dist) -> EquilibriumCertificate:
     """Bayes Nash check in the agent normal form: action-swap gains plus a
     type-wise-product test on the distribution itself."""
-    base = anf_bs_epsilon(game, dist, check_representability=False)
-    gap = typewise_product_gap(_to_tabular(dist), game.n)
-    return EquilibriumCertificate("bne", base.epsilon, base.per_player, None, gap)
+    devs = _action_swaps(game, dist)
+    pi = mixture_to_tabular(dist) if isinstance(dist, MixtureDistribution) \
+        else np.asarray(dist, dtype=float)
+    return _certify("bne", devs, product_gap=typewise_product_gap(pi, game.n))
 
 
 def typewise_product_gap(pi: np.ndarray, n: int) -> float:
@@ -163,8 +170,6 @@ def coarse_epsilon(game: BayesianGame, dist, klass: str) -> EquilibriumCertifica
         return _certify("coarse-bs", devs)
     if klass not in ("sfcce", "anfcce"):
         raise BadInput(f"unknown coarse class {klass!r}")
-    if not isinstance(dist, StrategyDistribution):
-        raise BadInput(f"class {klass!r} audits an explicit strategy distribution")
     return _sigma_epsilon(game, dist, klass)
 
 
@@ -182,6 +187,8 @@ def _sigma_epsilon(game: BayesianGame, sigma: StrategyDistribution,
     sum of one R entry per type, so every maximum over S_i is taken type by
     type, and the first maximiser per type is the first maximiser in S_i.
     """
+    if not isinstance(sigma, StrategyDistribution):
+        raise BadInput(f"class {klass} needs a strategy distribution file")
     if sigma.size > DEFAULT_LP_CAP:
         raise SupportTooLarge(f"|S| = {sigma.size} exceeds cap {DEFAULT_LP_CAP}")
     if sigma.num_types != game.num_types or sigma.num_actions != game.num_actions:
@@ -217,16 +224,12 @@ def _sigma_epsilon(game: BayesianGame, sigma: StrategyDistribution,
 
 
 def _strategy_class_tensor(game: BayesianGame, i: int, rows) -> np.ndarray:
-    """R[t, theta_i, a_i] = sum_{theta_-i} rho(theta) v_i(theta; a_i, s_-i^t(theta_-i))."""
-    opp = np.zeros((rows[i].shape[0], 1), dtype=np.int64)   # flat A_-i index per (t, theta_-i)
-    for j in range(game.n):
-        if j != i:
-            opp = (opp[:, :, None] * game.num_actions[j] + rows[j][:, None, :]).reshape(
-                opp.shape[0], -1)
-    v = game.payoff_from_own_view(i)                          # (K, M, O, P)
-    played = v[:, :, np.arange(opp.shape[1]), opp]            # (K, M, T, O)
-    joint = np.moveaxis(game.prior.full_table(), i, 0).reshape(v.shape[0], 1, 1, -1)
-    return (joint * played).sum(axis=3).transpose(2, 0, 1)
+    """R[t, theta_i, a_i] = sum_{theta_-i} rho(theta) v_i(theta; a_i, s_-i^t(theta_-i)):
+    the exact reward against support profile t's opponents, each strategy as a
+    one-hot type-wise policy, weighted by rho_i.  The support axis has length
+    one in a one-player game, where no profile moves the reward."""
+    opponents = [np.eye(game.num_actions[j])[rows[j]] for j in range(game.n) if j != i]
+    return game.prior.marginals[i][:, None] * expected_rewards(game, i, opponents)
 
 
 def _joint_coarse(gains: np.ndarray, magnitude: np.ndarray) -> tuple[float, dict]:
@@ -298,12 +301,6 @@ def _profile_matrix(nt, na) -> np.ndarray:
     out = np.zeros((thetas[0].size * int(np.prod(na)), size))
     out[np.arange(thetas[0].size) * int(np.prod(na)) + a_idx, np.arange(size)[:, None]] = 1.0
     return out
-
-
-def _to_tabular(dist) -> np.ndarray:
-    if isinstance(dist, MixtureDistribution):
-        return mixture_to_tabular(dist)
-    return np.asarray(dist, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,22 @@ def reference_representability_matrix(nt, na):
     return a_mat
 
 
+def reference_product_prior(marginals):
+    """A product prior's full table and per-player conditional rows, each an
+    outer product of the marginals taken one at a time in player order."""
+    table = np.array(1.0)
+    for m in marginals:
+        table = np.multiply.outer(table, m)
+    conditionals = []
+    for i in range(len(marginals)):
+        row = np.array([1.0])
+        for j, m in enumerate(marginals):
+            if j != i:
+                row = np.multiply.outer(row, m).reshape(-1)
+        conditionals.append(np.tile(row, (marginals[i].size, 1)))
+    return table.reshape(tuple(m.size for m in marginals)), conditionals
+
+
 def _opponent_table(policies):
     """Stacked Kronecker product: out[c, (theta_j...), (a_j...)] = prod_j p_j[c, theta_j, a_j]."""
     acc = np.ones((policies[0].shape[0] if policies else 1, 1, 1))

@@ -249,7 +249,7 @@ def test_criterion_08_ordering_and_inclusion(regret_suite_runs):
         game = random_game(rng, (2, 2), (2, 2), tabular_prior=bool(rng.integers(2)))
         mix = random_mixture(rng, (2, 2), (2, 2), int(rng.integers(1, 5)))
         comm = comm_eq_epsilon(game, mix)
-        anf = anf_bs_epsilon(game, mix, check_representability=False)
+        anf = anf_bs_epsilon(game, mix)
         assert anf.epsilon <= comm.epsilon + 1e-12
     game = fixture_files.game("correlated_coarse_game")
     sigma = fixture_files.distribution("correlated_coarse_sigma", "correlated_coarse_game")

@@ -11,7 +11,7 @@ from commeq.game import (BayesianGame, MixtureDistribution, PriorModel, Strategy
                          strategy_space_size, save_game, uniform_policy, validate_game)
 
 from . import fixture_files
-from .oracles import mixture, mixture_eval, strategy_to_mixture
+from .oracles import mixture, mixture_eval, reference_product_prior, strategy_to_mixture
 
 
 def encode_strategy_profile(s, num_actions):
@@ -121,6 +121,20 @@ def test_conditional_prior_single_player():
     game = BayesianGame.create([["a", "b"]], [["l", "r"]], prior,
                                [np.zeros((2, 2))])
     assert np.allclose(game.prior.conditional_matrix(0)[0], [1.0])
+
+
+def test_product_prior_tables_equal_the_outer_product_loops():
+    """The Kronecker kernel gives the full table and the conditional rows bit
+    for bit, on 300 random product priors of 1-4 players with 1-4 types."""
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        rows = [rng.dirichlet(np.ones(k)) for k in rng.integers(1, 5, rng.integers(1, 5))]
+        prior = PriorModel.product(rows)
+        table, conditionals = reference_product_prior(prior.marginals)
+        assert np.array_equal(prior.full_table(), table)
+        assert prior.full_table().shape == table.shape
+        for got, want in zip(prior.conditionals, conditionals, strict=True):
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_mixture_eval_uniform():

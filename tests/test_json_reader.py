@@ -336,3 +336,11 @@ def test_values_other_than_payoffs_are_scanned_in_linear_time(tmp_path, monkeypa
         scanned.clear()
         assert_same_document(load_json(str(path)), ref)
         assert sum(scanned) <= 2 * len(text)
+
+
+def test_a_small_file_is_read_in_one_call_of_its_own_size():
+    """The first read is sized from the file: a 3 kB game is not read through
+    a buffer of a whole 2^20-character chunk."""
+    path = os.path.join(FIXTURES, "first_price_auction.json")
+    _, peak = _traced_peak(lambda: load_game(path))
+    assert peak < 64 * 2**10

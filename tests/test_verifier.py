@@ -134,7 +134,7 @@ def test_zero_game_everything_zero():
     game = fixture_game("zero_payoff_game")
     pi = distribution("nonrepresentable_pi", "zero_payoff_game")
     assert comm_eq_epsilon(game, pi).epsilon == 0.0
-    assert anf_bs_epsilon(game, pi, check_representability=False).epsilon == 0.0
+    assert anf_bs_epsilon(game, pi).epsilon == 0.0
     assert coarse_epsilon(game, pi, "coarse-bs").epsilon == 0.0
 
 
@@ -144,7 +144,7 @@ def test_anf_bs_below_comm():
         game = random_game(rng, (2, 2), (2, 2))
         mix = random_mixture(rng, (2, 2), (2, 2), 3)
         comm = comm_eq_epsilon(game, mix)
-        anf = anf_bs_epsilon(game, mix, check_representability=False)
+        anf = anf_bs_epsilon(game, mix)
         assert anf.epsilon <= comm.epsilon + 1e-12
         coarse = coarse_epsilon(game, mix, "coarse-bs")
         assert coarse.epsilon <= anf.epsilon + 1e-12
@@ -160,17 +160,53 @@ def test_comm_zero_and_representable_implies_anf_zero():
 
 
 def test_anf_bs_sizes_the_lp_before_tabularizing(monkeypatch):
-    """|S| = 2^14 is past DEFAULT_LP_CAP: the representability check is
-    refused from the game's shapes, and the mixture is never made explicit."""
+    """|S| = 2^14 is past DEFAULT_LP_CAP, yet a mixture of type-wise product
+    policies is representable by construction: neither the table nor the LP
+    is built."""
     rng = np.random.default_rng(21)
     game = random_game(rng, (14,), (2,))
     mix = random_mixture(rng, (14,), (2,), 4)
 
     def refuse(dist):
-        raise AssertionError("the mixture was tabularized")
+        raise AssertionError("the mixture was tabularized or sent to the LP")
     monkeypatch.setattr(verifier, "mixture_to_tabular", refuse)
+    monkeypatch.setattr(verifier, "strategy_representable", refuse)
     cert = anf_bs_epsilon(game, mix)
+    assert cert.representable is True and cert.to_json_dict()["representable"] is True
+
+
+def test_anf_bs_leaves_a_tabular_distribution_past_the_lp_cap_unassessed():
+    rng = np.random.default_rng(22)
+    game = random_game(rng, (14,), (2,))
+    pi = mixture_to_tabular(random_mixture(rng, (14,), (2,), 4))
+    cert = anf_bs_epsilon(game, pi)
     assert cert.representable is None and cert.to_json_dict()["representable"] is None
+
+
+def test_bne_never_runs_the_representability_lp(monkeypatch):
+    def refuse(pi):
+        raise AssertionError("bne ran the representability LP")
+    monkeypatch.setattr(verifier, "strategy_representable", refuse)
+    game = fixture_game("zero_payoff_game")
+    cert = bne_epsilon(game, distribution("nonrepresentable_pi", "zero_payoff_game"))
+    assert cert.representable is None and cert.product_gap > 0.2
+
+
+@pytest.mark.parametrize("audit", [
+    lambda game, dist: sfce_epsilon(game, dist),
+    lambda game, dist: coarse_epsilon(game, dist, "sfcce"),
+    lambda game, dist: coarse_epsilon(game, dist, "anfcce"),
+], ids=["sfce", "sfcce", "anfcce"])
+@pytest.mark.parametrize("kind", ["mixture", "tabular"])
+def test_strategy_classes_refuse_a_typewise_distribution(audit, kind):
+    """The strategy classes take a typed BadInput, not an AttributeError, for
+    a distribution over (Theta..., A...)."""
+    rng = np.random.default_rng(23)
+    game = random_game(rng, (2, 2), (2, 2))
+    mix = random_mixture(rng, (2, 2), (2, 2), 3)
+    dist = mix if kind == "mixture" else mixture_to_tabular(mix)
+    with pytest.raises(BadInput, match="needs a strategy distribution"):
+        audit(game, dist)
 
 
 def test_coarse_witness_replays_to_gain():
@@ -428,7 +464,7 @@ def test_action_witnesses_are_stable_under_float_dust(monkeypatch):
             return nudged[-1]
         monkeypatch.setattr(verifier, "deviation_tensor", dusty)
         comm = comm_eq_epsilon(game, mix)
-        anf = anf_bs_epsilon(game, mix, check_representability=False)
+        anf = anf_bs_epsilon(game, mix)
         coarse = coarse_epsilon(game, mix, "coarse-bs")
         comm_ledgers, anf_ledgers = nudged[:2], nudged[2:4]
         for i in range(game.n):
