@@ -24,10 +24,10 @@ LEARNER_FP_CAP = 20_000
 DEFAULT_STRATEGY_LEARNER_CAP = 4096
 
 
-def _softmax(logw: np.ndarray, axis: int) -> np.ndarray:
-    z = logw - logw.max(axis=axis, keepdims=True)
+def _softmax(logw: np.ndarray) -> np.ndarray:
+    z = logw - logw.max(axis=0, keepdims=True)
     w = np.exp(z)
-    return w / w.sum(axis=axis, keepdims=True)
+    return w / w.sum(axis=0, keepdims=True)
 
 
 def _check_reward(u: np.ndarray, low: float, high) -> None:
@@ -38,6 +38,15 @@ def _check_reward(u: np.ndarray, low: float, high) -> None:
                                "outside the range [0, r] or not finite")
 
 
+def _reward_in(prev_reward, shape: tuple[int, ...]) -> np.ndarray:
+    """The reward as floats of ``shape``, else BadInput or RewardOutOfRange."""
+    u = np.asarray(prev_reward, dtype=float)
+    if u.shape != shape:
+        raise BadInput(f"reward must have shape {shape}")
+    _check_reward(u, -REWARD_TOL, 1.0 + REWARD_TOL)
+    return u
+
+
 def _count(value, name: str) -> int:
     """A size argument as an int; BadInput unless it is an integer >= 1."""
     if not isinstance(value, (int, np.integer)) or value < 1:
@@ -46,48 +55,55 @@ def _count(value, name: str) -> int:
 
 
 def fixed_rate_eta(num_decisions: int, horizon: int) -> float:
-    """Step size sqrt(8 ln d / T), tuned for the sqrt(T ln d / 2) regret form."""
-    if num_decisions <= 1:
-        return 0.0
+    """Step size sqrt(8 ln d / T) for regret sqrt(T ln d / 2): the fixed rate, T's one way in."""
     return math.sqrt(8.0 * math.log(num_decisions) / max(1, horizon))
 
 
 class _DoublingBank:
-    """A grid of independent doubling-trick MWU learners sharing decision size d.
+    """A grid of independent MWU learners sharing decision size d.
 
-    ``shape`` indexes the learners; a batch of untruthful learners puts its
-    batch axis first, (B, K, K, M).  Weights, rewards and decisions are laid
-    out decision axis first, ``(d,) + shape``, so each per-learner max or sum
-    is d - 1 elementwise operations over contiguous slabs instead of one tiny
-    reduction per learner; the state is kept as (d, learners), the fewest axes
-    for numpy to iterate.  ``ranges`` broadcasts against ``shape`` and gives
-    each learner's reward range; zero-range learners ignore updates and stay
-    uniform.
+    ``shape`` indexes the learners, batch axis first: (B, K, K, M) action
+    experts, (B, K) report experts.  Weights, rewards and decisions are laid
+    out decision axis first, ``(d,) + shape``, and kept as (d, learners).  In
+    C order each per-learner max or sum is d - 1 elementwise operations over
+    contiguous slabs; in order F, the fixed rate's, each softmax sum adds d
+    contiguous entries, pairwise from 8 on, as a last-axis sum does.
+    ``ranges``, broadcast against ``shape``, are the learners' reward ranges;
+    zero-range learners ignore updates and stay uniform.  A fixed rate
+    ``fixed_eta`` (a horizon's one way in) replaces the doubling trick's
+    budget, epochs, restarts and reward check (its caller forms the rewards).
     """
 
-    def __init__(self, shape: tuple[int, ...], d: int, ranges):
+    def __init__(self, shape: tuple[int, ...], d: int, ranges, fixed_eta=None):
         self.shape = shape
         self.d = int(d)
         self.ranges = np.broadcast_to(np.asarray(ranges, dtype=float), shape).flatten()
         self.live = self.ranges > 0
         # slightly looser than the public 1e-9: fixed-point and reward dust compound
         self.high = self.ranges + 1e-8
-        self.logw = np.zeros((d, self.ranges.size))
+        self.order = "C" if fixed_eta is None else "F"
+        self.logw = np.zeros((d, self.ranges.size), order=self.order)
+        if fixed_eta is not None:
+            self.eta, self.budget = fixed_eta, None
+            return
         self.epoch_cum = np.zeros((d, self.ranges.size))
-        logd = math.log(d) if d > 1 else 0.0
-        self.budget = np.full(self.ranges.size, logd)
+        self.budget = np.full(self.ranges.size, math.log(d))
         self.eta = np.ones(self.ranges.size) if d > 1 else np.zeros(self.ranges.size)
 
     def decisions(self) -> np.ndarray:
-        return _softmax(self.logw, axis=0).reshape((self.d,) + self.shape)
+        return _softmax(self.logw).reshape((self.d,) + self.shape)
 
     def update(self, rewards: np.ndarray) -> None:
         rewards = rewards.reshape(self.logw.shape)
-        _check_reward(rewards, -1e-8, self.high)
+        if self.budget is not None:
+            _check_reward(rewards, -1e-8, self.high)
         if self.d <= 1:
             return
-        rn = np.divide(rewards, self.ranges, out=np.zeros(rewards.shape), where=self.live)
+        rn = np.divide(rewards, self.ranges, where=self.live,
+                       out=np.zeros(self.logw.shape, order=self.order))
         self.logw += self.eta * rn
+        if self.budget is None:
+            return
         self.epoch_cum += rn
         burst = self.epoch_cum.max(axis=0) > self.budget
         if burst.any():
@@ -110,11 +126,11 @@ def _hot_fixed_points(dense: np.ndarray, seed: np.ndarray, tol: float,
 class UntruthfulSwapLearner:
     """Minimizes untruthful swap regret over one player's (types x actions) policies.
 
-    Internally: one fixed-rate MWU over reported types per true type, one
-    doubling MWU over actions per (true type, reported type, recommended
-    action).  Each round the subroutine outputs assemble a strictly positive
-    swap transform whose fixed point is the emitted policy, so deviating
-    through the learner's own transform gains nothing.
+    Internally two ``_DoublingBank``s: fixed-rate report experts per true type
+    (the horizon's one use) and doubling action experts per (true type, report,
+    recommendation).  Each round they assemble a strictly positive swap
+    transform whose fixed point is the emitted policy: deviating through it
+    gains nothing.
 
     A (K,) prior row makes one learner, stepped with (K, M) rewards into
     (K, M) policies.  (B, K) rows make B independent learners sharing (K, M)
@@ -124,24 +140,18 @@ class UntruthfulSwapLearner:
 
     def __init__(self, prior_row, num_actions: int, horizon: int):
         rho = prior_rows(prior_row)
-        self.batched = rho.ndim == 2
-        self.rho = rho if self.batched else rho[None]     # (B, K)
+        self.rho = rho.reshape(-1, rho.shape[-1])     # (B, K)
         self.B, self.K = self.rho.shape
-        self._rho_col = self.rho[:, :, None]
-        self._typed = self._rho_col > 0
         self.M = _count(num_actions, "num_actions")
-        self.T = int(horizon)
-        self.eta_type = fixed_rate_eta(self.K, self.T)
-        self.logw = np.zeros((self.B, self.K, self.K))
+        self.reports = _DoublingBank((self.B, self.K), self.K, self.rho,
+                                     fixed_eta=fixed_rate_eta(self.K, int(horizon)))
         self.bank = _DoublingBank((self.B, self.K, self.K, self.M), self.M,
                                   self.rho[:, :, None, None])
-        self.w = _softmax(self.logw, axis=2)
         self.y = self.bank.decisions()        # (M_a, B, K, K, M_a')
         self.x = np.full((self.B, self.K, self.M), 1.0 / self.M)
         # flat indices into w that repeat each w(b, theta, theta') along a'
-        self._w_cols = np.arange(self.w.size).repeat(self.M).reshape(self.B * self.K, -1)
-        self.rounds = 0
-        self._shape = self.x.shape if self.batched else self.x.shape[1:]
+        self._w_cols = np.arange(self.K * self.rho.size).repeat(self.M).reshape(self.rho.size, -1)
+        self._shape = rho.shape + (self.M,)
 
     def step(self, prev_reward=None) -> np.ndarray:
         """Feed the previous round's reward (None on round one), emit the next policy."""
@@ -151,28 +161,21 @@ class UntruthfulSwapLearner:
         """step, with rewards and policies of ``shape``: the (B, K, M) entries
         in C order, grouped as the caller sees them."""
         if prev_reward is not None:
-            u = np.asarray(prev_reward, dtype=float)
-            if u.shape != shape:
-                raise BadInput(f"reward must have shape {shape}")
-            _check_reward(u, -REWARD_TOL, 1.0 + REWARD_TOL)
-            self._feed(u.reshape(self.x.shape))
+            self._feed(_reward_in(prev_reward, shape).reshape(self.x.shape))
         self._decide()
-        self.rounds += 1
         return self.x.reshape(shape).copy()
 
     def _feed(self, u: np.ndarray) -> None:
-        ubar = self._rho_col * u                            # (B, theta, a)
+        ubar = self.rho[:, :, None] * u                            # (B, theta, a)
         # doubling subroutine (theta, theta', a') sees reward x(theta',a') * ubar(theta,a)
         split = ubar.transpose(2, 0, 1)[:, :, :, None, None] * self.x[:, None]
         self.bank.update(split)                             # (a, B, theta, theta', a')
         if self.K > 1:
-            # type subroutine theta sees, per decision theta', the y-weighted collapse
-            z = np.einsum("abtpc,abtpc->btp", self.y, split)
-            self.logw += self.eta_type * np.divide(z, self._rho_col, out=np.zeros(z.shape),
-                                                   where=self._typed)
+            # report expert theta sees, per decision theta', the y-weighted collapse
+            self.reports.update(np.einsum("abtpc,abtpc->btp", self.y, split).transpose(2, 0, 1))
 
     def _decide(self) -> None:
-        self.w = _softmax(self.logw, axis=2)
+        self.w = self.reports.decisions().transpose(1, 2, 0)     # (B, theta, theta')
         self.y = self.bank.decisions()
         x = _hot_fixed_points(self._dense(), self.x.reshape(self.B, -1), LEARNER_FP_TOL,
                               self.K)
@@ -224,10 +227,7 @@ class StrategySwapLearner:
 
     def step(self, prev_reward=None) -> np.ndarray:
         if prev_reward is not None:
-            u = np.asarray(prev_reward, dtype=float)
-            if u.shape != (self.K, self.M):
-                raise BadInput(f"reward must have shape {(self.K, self.M)}")
-            _check_reward(u, -REWARD_TOL, 1.0 + REWARD_TOL)
+            u = _reward_in(prev_reward, (self.K, self.M))
             self.bank.update(u.T[:, None, :] * self.sigma[:, None])
         z = self.bank.decisions()                       # (M, S, K)
         p = np.ones((self.S, self.S))

@@ -75,6 +75,36 @@ def test_doubling_regret_bound_u_star_100():
     assert u_star - alg_reward <= 6 * math.sqrt(u_star * math.log(2)) + 2 * math.log(2)
 
 
+@pytest.mark.parametrize("d", [3, 16])
+def test_fixed_rate_bank_is_a_last_axis_softmax_of_the_scaled_running_sum(d):
+    """A batch of B = 2 learners over (B, 2), one of them with range 0: each
+    decision equals, bit for bit, the softmax along a contiguous last axis of
+    eta times the running sum of reward / range; the zero-range learner stays
+    uniform; and on a stream that restarts a doubling bank of the same shape,
+    the fixed-rate bank's budget and eta never change."""
+    ranges = np.array([[0.5, 0.0], [1.0, 0.25]])
+    eta = 0.3
+    fixed = _DoublingBank((2, 2), d, ranges, fixed_eta=eta)
+    doubling = _DoublingBank((2, 2), d, ranges)
+    budget0 = doubling.budget.copy()
+    acc = np.zeros((2, 2, d))
+    rng = np.random.default_rng(d)
+    for _ in range(40):
+        rewards = rng.random((d, 2, 2)) * ranges
+        fixed.update(rewards)
+        doubling.update(rewards)
+        scaled = np.moveaxis(rewards, 0, -1) / np.where(ranges > 0, ranges, 1.0)[..., None]
+        acc += eta * np.where(ranges[..., None] > 0, scaled, 0.0)
+        z = acc - acc.max(axis=-1, keepdims=True)
+        w = np.exp(z)
+        reference = w / w.sum(axis=-1, keepdims=True)
+        got = np.moveaxis(fixed.decisions(), 0, -1)
+        assert np.array_equal(got, reference)
+        assert np.array_equal(got[0, 1], np.full(d, 1.0 / d))
+        assert fixed.budget is None and fixed.eta == eta
+    assert (doubling.budget > budget0).any()
+
+
 def test_untruthful_cold_start_uniform():
     for k, m in [(1, 2), (2, 3), (4, 2)]:
         state = UntruthfulSwapLearner(np.full(k, 1 / k), m, 100)

@@ -151,3 +151,32 @@ def test_every_parameter_is_read():
                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
         unread += [f"{module}: {qualname}.{p}" for p in params if p not in read]
     assert unread == []
+
+
+# the one multiplicative-weights kernel: its weights, its step size and its
+# softmax belong to this class, and every expert kind is a bank of it
+MWU_OWNER = "_DoublingBank"
+
+
+def test_only_the_bank_runs_multiplicative_weights():
+    def owned(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.ClassDef) else owner
+            yield child, inner
+            yield from owned(child, inner)
+
+    strays = []
+    for name, tree in _modules().items():
+        for node, owner in owned(tree, None):
+            if owner == MWU_OWNER:
+                continue
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for sub in ast.walk(target):
+                        if (isinstance(sub, ast.Attribute) and sub.attr in ("logw", "eta")
+                                and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                            strays.append(f"{name}:{node.lineno} self.{sub.attr}")
+            elif isinstance(node, ast.Call) and "_softmax" in set(_names(node.func)):
+                strays.append(f"{name}:{node.lineno} _softmax")
+    assert strays == []
