@@ -198,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--eps", type=float, default=0.1)
     sim.add_argument("--delta", type=float, default=0.05)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--threads", type=int, default=1)
+    sim.add_argument("--threads", type=int, default=1, metavar="N",
+                     help="N threads for --reward sampled, used once an oracle call covers "
+                          "dynamics.POOL_MIN_CELLS (type, opponent cell) pairs; same outputs")
     sim.add_argument("--out-dir", default="out")
     sim.set_defaults(func=cmd_simulate)
 

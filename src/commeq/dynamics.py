@@ -28,6 +28,7 @@ from .regret import (RegretLedger, accumulate, block_rounds, external_regret,
                      typewise_regret, untruthful_bound, untruthful_regret)
 
 SAMPLE_CAP = 2**22               # Monte-Carlo samples per entry of a sampled reward
+POOL_MIN_CELLS = 2**14           # |Theta_i| x opponent cells of a sampled call worth a thread
 
 LEARNER_KINDS = ("untruthful", "typewise", "strategy-swap")
 REWARD_MODES = ("exact", "sampled")
@@ -172,9 +173,9 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
         raise BadInput("threads must be >= 1")
     if config.reward_mode not in REWARD_MODES:
         raise BadInput(f"unknown reward mode {config.reward_mode!r}")
+    sizes = [k * m for k, m in zip(game.num_types, game.num_actions)]
     if config.reward_mode == "sampled":
-        max_ta = max(k * m for k, m in zip(game.num_types, game.num_actions))
-        sample_count(config.epsilon, config.delta, game.n, t_max, max_ta)
+        sample_count(config.epsilon, config.delta, game.n, t_max, max(sizes))
     kinds = config.learner_kinds(game.n)
     groups = _make_groups(game, kinds, config)
     block = block_rounds(*(g.ledger for g in groups))
@@ -184,9 +185,12 @@ def run_dynamics(game: BayesianGame, config: DynamicsConfig) -> RunResult:
     curve[:, :, 0] = np.arange(1, t_max + 1)[:, None]
     curve[:, :, 1] = np.arange(game.n)
 
-    # exact rewards make numpy calls too small to release the interpreter lock
-    # for long, so a pool would only add hand-offs there
-    pooled = config.threads > 1 and config.reward_mode == "sampled"
+    # a sampled call frees the interpreter lock in its multinomial and einsum,
+    # whose work is |Theta_i| x opponent cells; where the largest call is below
+    # POOL_MIN_CELLS, and for exact rewards, threads would only trade the lock
+    cells = max(k * math.prod(sizes) // s for k, s in zip(game.num_types, sizes))
+    pooled = (config.threads > 1 and config.reward_mode == "sampled"
+              and cells >= POOL_MIN_CELLS)
     pool = ThreadPoolExecutor(max_workers=config.threads) if pooled else None
     try:
         for t in range(1, t_max + 1):

@@ -149,6 +149,7 @@ class UntruthfulSwapLearner:
                                   self.rho[:, :, None, None])
         self.y = self.bank.decisions()        # (M_a, B, K, K, M_a')
         self.x = np.full((self.B, self.K, self.M), 1.0 / self.M)
+        self.w = np.ones((self.B, self.K, self.K))     # one type: the weights stay 1.0
         # flat indices into w that repeat each w(b, theta, theta') along a'
         self._w_cols = np.arange(self.K * self.rho.size).repeat(self.M).reshape(self.rho.size, -1)
         self._shape = rho.shape + (self.M,)
@@ -175,7 +176,8 @@ class UntruthfulSwapLearner:
             self.reports.update(np.einsum("abtpc,abtpc->btp", self.y, split).transpose(2, 0, 1))
 
     def _decide(self) -> None:
-        self.w = self.reports.decisions().transpose(1, 2, 0)     # (B, theta, theta')
+        if self.K > 1:
+            self.w = self.reports.decisions().transpose(1, 2, 0)     # (B, theta, theta')
         self.y = self.bank.decisions()
         x = _hot_fixed_points(self._dense(), self.x.reshape(self.B, -1), LEARNER_FP_TOL,
                               self.K)

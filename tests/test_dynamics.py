@@ -209,8 +209,8 @@ def test_run_determinism_and_threads():
             assert np.array_equal(pa, pb)
 
 
-def test_only_sampled_rewards_build_a_thread_pool(monkeypatch):
-    """Exact rewards run inline at any --threads; sampled ones use the pool."""
+def count_pools(monkeypatch) -> list:
+    """Make run_dynamics record the worker count of every pool it builds."""
     built = []
 
     class CountingPool(dynamics.ThreadPoolExecutor):
@@ -218,12 +218,59 @@ def test_only_sampled_rewards_build_a_thread_pool(monkeypatch):
             built.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
     monkeypatch.setattr(dynamics, "ThreadPoolExecutor", CountingPool)
+    return built
+
+
+def test_only_sampled_rewards_build_a_thread_pool(monkeypatch):
+    """Exact rewards run inline at any --threads; sampled ones use the pool
+    only when some call covers POOL_MIN_CELLS cells, |Theta_i| x opponent
+    cells, which no fixture game reaches at the default."""
+    built = count_pools(monkeypatch)
     game = fixture_game("matching_game")
-    run_dynamics(game, DynamicsConfig(horizon=5, threads=2))
+    exact = DynamicsConfig(horizon=5, threads=2)
+    sampled = DynamicsConfig(horizon=5, threads=2, reward_mode="sampled",
+                             epsilon=0.5, delta=0.2)
+    run_dynamics(game, exact)
+    run_dynamics(game, sampled)
     assert built == []
-    run_dynamics(game, DynamicsConfig(horizon=5, threads=2, reward_mode="sampled",
+    monkeypatch.setattr(dynamics, "POOL_MIN_CELLS", 0)
+    run_dynamics(game, exact)
+    run_dynamics(game, DynamicsConfig(horizon=5, reward_mode="sampled",
                                       epsilon=0.5, delta=0.2))
+    assert built == []
+    run_dynamics(game, sampled)
     assert built == [2]
+    # the largest call decides: on matching_game each player's 2 types face
+    # 2 x 2 opponent cells (8); on guessing_game player 0's 3 types face
+    # 1 x 4 (12) and player 1's one type 3 x 5 (15)
+    for g, cells in [(game, 8), (fixture_game("guessing_game"), 15)]:
+        built.clear()
+        monkeypatch.setattr(dynamics, "POOL_MIN_CELLS", cells + 1)
+        run_dynamics(g, sampled)
+        assert built == []
+        monkeypatch.setattr(dynamics, "POOL_MIN_CELLS", cells)
+        run_dynamics(g, sampled)
+        assert built == [2]
+
+
+@pytest.mark.parametrize("name", ["guessing_game", "first_price_auction"])
+def test_pooled_sampled_run_matches_inline_bit_for_bit(monkeypatch, name):
+    built = count_pools(monkeypatch)
+    game = fixture_game(name)
+    config = dict(horizon=30, seed=3, reward_mode="sampled", epsilon=0.5, delta=0.2)
+    inline = run_dynamics(game, DynamicsConfig(**config))
+    monkeypatch.setattr(dynamics, "POOL_MIN_CELLS", 0)
+    for threads in (2, 4):
+        pooled = run_dynamics(game, DynamicsConfig(**config, threads=threads))
+        assert pooled.certificate == inline.certificate
+        assert pooled.untruthful == inline.untruthful
+        assert np.array_equal(pooled.curve, inline.curve)
+        for a, b in zip(pooled.mixture.policies, inline.mixture.policies):
+            assert np.array_equal(a, b)
+        for a, b in zip(pooled.ledgers, inline.ledgers):
+            assert np.array_equal(a.cross, b.cross)
+            assert np.array_equal(a.alg_reward, b.alg_reward) and a.rounds == b.rounds
+    assert built == [2, 4]
 
 
 def test_sampled_run_determinism():
